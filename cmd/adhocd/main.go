@@ -81,6 +81,18 @@ import (
 	"adhocga/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client that opens connections and trickles
+// header bytes cannot pin goroutines and descriptors indefinitely. It does
+// not limit request bodies, idle keep-alive waits or the long-lived event
+// streams.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the http.Server run serves the service on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // version is the build identifier /healthz reports; override at link time
 // with -ldflags "-X main.version=v1.2.3".
 var version = "dev"
@@ -241,7 +253,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ln.Close()
 		return 1
 	}
-	server := &http.Server{Handler: svc}
+	server := newHTTPServer(svc)
 	fmt.Fprintf(stdout, "adhocd listening on %s (pool %d, max jobs %d, scale %s, store %s)\n",
 		ln.Addr(), session.PoolSize(), *maxJobs, sc.Name, store.Backend())
 	if recovered > 0 {

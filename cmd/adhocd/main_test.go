@@ -239,6 +239,14 @@ func TestDaemonHelpListsEndpoints(t *testing.T) {
 	}
 }
 
+// TestDaemonServerReadHeaderTimeout checks the server run serves on bounds
+// the time a client may take to send request headers.
+func TestDaemonServerReadHeaderTimeout(t *testing.T) {
+	if got := newHTTPServer(http.NotFoundHandler()).ReadHeaderTimeout; got <= 0 || got != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v (> 0)", got, readHeaderTimeout)
+	}
+}
+
 // startInProcDaemon boots run() with the given extra flags on a free port and
 // returns the base URL plus a shutdown func that asserts a clean exit.
 func startInProcDaemon(t *testing.T, extra ...string) (string, func()) {

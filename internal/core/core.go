@@ -366,11 +366,19 @@ func (e *Engine) Reinit(cfg Config) error {
 	return nil
 }
 
+// maxPresizedGenerations caps the series storage NewResult reserves up
+// front. Longer runs grow their series as generations complete, so a
+// requested generation count never turns into an allocation of that size
+// before any generation has run.
+const maxPresizedGenerations = 1 << 10
+
 // NewResult returns a Result with series storage sized for the given
-// generation and environment counts. Engine.Run builds its own; the island
-// engine (internal/island) uses it to accumulate the aggregate view of a
-// sharded run in exactly the serial shape.
+// generation (up to maxPresizedGenerations) and environment counts.
+// Engine.Run builds its own; the island engine (internal/island) uses it
+// to accumulate the aggregate view of a sharded run in exactly the serial
+// shape.
 func NewResult(generations, envs int) *Result {
+	generations = min(generations, maxPresizedGenerations)
 	return &Result{
 		CoopSeries:        make([]float64, 0, generations),
 		MeanEnvCoopSeries: make([]float64, 0, generations),

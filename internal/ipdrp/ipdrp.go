@@ -226,7 +226,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for i := range genomes {
 		genomes[i] = ga.Individual{Genome: bitstring.Random(r, Bits)}
 	}
-	res := &Result{CoopSeries: make([]float64, 0, cfg.Generations)}
+	res := &Result{} // the series grows as generations complete
 	states := make([]playerState, cfg.Population)
 	order := make([]int, cfg.Population)
 	for i := range order {

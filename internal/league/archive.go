@@ -1,8 +1,10 @@
 package league
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"adhocga/internal/jobstore"
@@ -28,6 +30,12 @@ type Archive struct {
 	byID    map[string]Champion
 	order   []string // first-Put order, mirrors the store's List order
 	skipped int      // corrupt records dropped while loading
+
+	// The rendered listing (see Listing): each champion's JSON, made on
+	// the first listing that shows it and dropped when a Put replaces it,
+	// and the whole unfiltered body, nil until read and after any Put.
+	rendered map[string][]byte
+	listing  []byte
 }
 
 // NewArchive wraps a store, loading every existing champion record.
@@ -35,7 +43,7 @@ type Archive struct {
 // own checksums, or foreign kinds) are skipped and counted, never fatal:
 // a damaged champion must not take down the rest of the hall of fame.
 func NewArchive(store jobstore.Store) (*Archive, error) {
-	a := &Archive{store: store, byID: make(map[string]Champion)}
+	a := &Archive{store: store, byID: make(map[string]Champion), rendered: make(map[string][]byte)}
 	recs, err := store.List()
 	if err != nil {
 		return nil, fmt.Errorf("league: load archive: %w", err)
@@ -101,6 +109,8 @@ func (a *Archive) Put(c Champion) error {
 		a.order = append(a.order, c.ID)
 	}
 	a.byID[c.ID] = c
+	delete(a.rendered, c.ID)
+	a.listing = nil
 	return nil
 }
 
@@ -122,6 +132,83 @@ func (a *Archive) List() []Champion {
 		out = append(out, a.byID[id])
 	}
 	return out
+}
+
+// listingIndent is the depth of a champion object in the listing body:
+// inside the top-level object, inside the "champions" array.
+const listingIndent = "    "
+
+// Listing returns the body of the champion listing: the champions whose
+// Category and Job match category and job ("" matches any), in first-Put
+// order. The bytes are exactly what encoding/json's Encoder with two-space
+// indentation writes for {"archive": Backend(), "champions": [...],
+// "count": n}: sorted keys, "champions": [] when nothing matches, HTML
+// escaped strings and a trailing newline.
+//
+// The listing is rendered once per archive change, not per call. Archive
+// content changes only through Put and order is first-Put order, so a
+// champion's rendering stays valid until a Put replaces it, and the
+// unfiltered body until any Put; a filtered listing concatenates the kept
+// renderings. Nothing is rendered before the first call. The returned bytes
+// are shared and must not be modified.
+func (a *Archive) Listing(category, job string) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	all := category == "" && job == ""
+	if all && a.listing != nil {
+		return a.listing, nil
+	}
+	type part struct {
+		id   string
+		json []byte
+	}
+	parts := make([]part, 0, len(a.order))
+	size := 0
+	for _, id := range a.order {
+		c := a.byID[id]
+		if (category != "" && c.Category != category) || (job != "" && c.Job != job) {
+			continue
+		}
+		r, ok := a.rendered[id]
+		if !ok {
+			var err error
+			if r, err = json.MarshalIndent(c, listingIndent, "  "); err != nil {
+				return nil, fmt.Errorf("league: render champion %s: %w", id, err)
+			}
+			a.rendered[id] = r
+		}
+		parts = append(parts, part{id, r})
+		size += len(",\n"+listingIndent) + len(r)
+	}
+	// A string always encodes; 80 bytes cover the framing and the count.
+	backend, _ := json.Marshal(a.store.Backend())
+	b := make([]byte, 0, size+len(backend)+80)
+	b = append(b, "{\n  \"archive\": "...)
+	b = append(b, backend...)
+	b = append(b, ",\n  \"champions\": ["...)
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n"+listingIndent...)
+		start := len(b)
+		b = append(b, p.json...)
+		if all {
+			// Point the kept rendering at its copy in the kept body, so
+			// the archive holds each rendered byte once.
+			a.rendered[p.id] = b[start:len(b):len(b)]
+		}
+	}
+	if len(parts) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "],\n  \"count\": "...)
+	b = strconv.AppendInt(b, int64(len(parts)), 10)
+	b = append(b, "\n}\n"...)
+	if all {
+		a.listing = b
+	}
+	return b, nil
 }
 
 // Select resolves champion IDs to champions. An empty ids slice selects

@@ -168,3 +168,53 @@ func ids(cs []Champion) []string {
 	}
 	return out
 }
+
+// TestArchiveListingKeptBetweenPuts checks when renderings are made and
+// dropped: none at load, each champion's on the first listing that shows
+// it, and a Put drops only the replaced champion's rendering and the
+// unfiltered body.
+func TestArchiveListingKeptBetweenPuts(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca := testChampion(t, "job-1/case 1/r0/g0", "0000000000000")
+	cb := testChampion(t, "job-1/case 1/r0/g10", "1111111111111")
+	for _, c := range []Champion{ca, cb} {
+		if err := a.Put(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	if a, err = OpenDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if len(a.rendered) != 0 || a.listing != nil {
+		t.Fatalf("loading rendered %d champions (body kept: %v), want none", len(a.rendered), a.listing != nil)
+	}
+
+	if _, err := a.Listing("altruist", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.rendered[cb.ID]; len(a.rendered) != 1 || !ok || a.listing != nil {
+		t.Fatalf("filtered listing rendered %d champions (body kept: %v), want only %s", len(a.rendered), a.listing != nil, cb.ID)
+	}
+	body, err := a.Listing("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := a.Listing("", ""); len(a.rendered) != 2 || &again[0] != &body[0] {
+		t.Fatalf("unfiltered listing not kept: %d renderings, same body %v", len(a.rendered), &again[0] == &body[0])
+	}
+	kept := a.rendered[ca.ID]
+
+	cb.Fitness = 7
+	if err := a.Put(cb); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.rendered[cb.ID]; ok || a.listing != nil || &a.rendered[ca.ID][0] != &kept[0] {
+		t.Fatalf("Put of %s kept its rendering or the body, or dropped %s's", cb.ID, ca.ID)
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"adhocga"
 	"adhocga/internal/jobstore"
-	"adhocga/internal/league"
 )
 
 // The league surface: the champion archive's read endpoints and the
@@ -22,30 +21,22 @@ import (
 
 // handleChampions lists the hall of fame in archival order, optionally
 // filtered by classification category (?category=reciprocal) or source
-// job (?job=job-1).
+// job (?job=job-1). The archive keeps the rendered listing between Puts,
+// so a read copies bytes instead of encoding every champion.
 func (s *Server) handleChampions(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Champions == nil {
 		httpError(w, http.StatusServiceUnavailable, "no champion archive configured (run adhocd with -champions)")
 		return
 	}
 	q := r.URL.Query()
-	category, job := q.Get("category"), q.Get("job")
-	champs := s.opts.Champions.List()
-	out := make([]league.Champion, 0, len(champs))
-	for _, c := range champs {
-		if category != "" && c.Category != category {
-			continue
-		}
-		if job != "" && c.Job != job {
-			continue
-		}
-		out = append(out, c)
+	body, err := s.opts.Champions.Listing(q.Get("category"), q.Get("job"))
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"champions": out,
-		"count":     len(out),
-		"archive":   s.opts.Champions.Backend(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // handleChampion serves one champion by ID. Champion IDs contain slashes
