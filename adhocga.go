@@ -112,13 +112,17 @@ func DefaultEvolutionConfig(envs []Environment, mode PathMode, seed uint64) Evol
 	return core.PaperConfig(envs, mode, seed)
 }
 
-// Evolve runs one evolutionary experiment.
-//
-// Deprecated: use Session.Evolve (or Submit an EvolveSpec) for context
-// cancellation, shared pooling, and streamed events. This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func Evolve(cfg EvolutionConfig) (*EvolutionResult, error) {
-	return DefaultSession().Evolve(context.Background(), cfg)
+// Evolve runs one serial evolutionary experiment. ctx is checked at each
+// generation barrier, never inside a generation, so an uncancelled run is
+// bit-identical to the bare engine. On cancellation the partial result
+// (the series of every completed generation) comes back with an error
+// wrapping ctx.Err().
+func Evolve(ctx context.Context, cfg EvolutionConfig) (*EvolutionResult, error) {
+	engine, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return engine.RunContext(ctx)
 }
 
 // IslandConfig parameterizes the island-model evolution engine: the
@@ -159,12 +163,14 @@ const (
 
 // EvolveIslands runs one island-model evolutionary experiment. A 1-island
 // configuration is bit-identical to Evolve on the same EvolutionConfig.
-//
-// Deprecated: use Session.EvolveIslands (or Submit an IslandsSpec). This
-// wrapper delegates to DefaultSession and is bit-identical to the Session
-// path.
-func EvolveIslands(cfg IslandConfig) (*IslandResult, error) {
-	return DefaultSession().EvolveIslands(context.Background(), cfg)
+// Cancellation works as in Evolve: the partial result comes back with an
+// error wrapping ctx.Err().
+func EvolveIslands(ctx context.Context, cfg IslandConfig) (*IslandResult, error) {
+	engine, err := island.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return engine.RunContext(ctx)
 }
 
 // DynamicsConfig parameterizes the environment-perturbation layer
@@ -226,17 +232,9 @@ var (
 // CaseResult aggregates one evaluation case over all replications.
 type CaseResult = experiment.CaseResult
 
-// RunOptions tune RunCase.
+// RunOptions tune a ScenariosSpec batch: master seed, parallelism, and
+// observation hooks.
 type RunOptions = experiment.Options
-
-// RunCase reproduces one evaluation case at the given scale, fanning
-// replications out over a worker pool. Deterministic for a fixed seed.
-//
-// Deprecated: use Session.RunCase (or Submit a CaseSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunCase(c Case, sc Scale, opts RunOptions) (*CaseResult, error) {
-	return DefaultSession().RunCase(context.Background(), c, sc, opts)
-}
 
 // ScenarioSpec declaratively describes one evolutionary experiment:
 // environments, path mode, tournament/GA parameters, scale, and seed
@@ -286,32 +284,6 @@ func LoadScenarioFile(path string) ([]ScenarioSpec, error) { return scenario.Loa
 // accepts.
 func SaveScenarios(w io.Writer, specs []ScenarioSpec) error { return scenario.Save(w, specs) }
 
-// RunScenarios runs a batch of scenarios over one shared worker pool —
-// every (scenario × replicate) pair is one work unit in a single queue —
-// and aggregates each scenario into a CaseResult, in input order.
-// Deterministic for fixed seeds regardless of parallelism.
-//
-// Deprecated: use Session.RunScenarios (or Submit a ScenariosSpec). This
-// wrapper delegates to DefaultSession and is bit-identical to the Session
-// path.
-func RunScenarios(runs []ScenarioRun, defaults Scale, opts RunOptions) ([]*CaseResult, error) {
-	return DefaultSession().RunScenarios(context.Background(), runs, defaults, opts)
-}
-
-// SweepPoint is one sample of a CSN sweep: the selfish-node count and the
-// evolved cooperation level.
-type SweepPoint = experiment.SweepPoint
-
-// CSNSweep traces evolved cooperation against the number of constantly
-// selfish nodes in a 50-player tournament — the curve the paper samples at
-// 0, 10, 25 and 30 (Table 1).
-//
-// Deprecated: use Session.CSNSweep (or Submit a SweepSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func CSNSweep(csnCounts []int, mode PathMode, sc Scale, opts RunOptions) ([]SweepPoint, error) {
-	return DefaultSession().CSNSweep(context.Background(), csnCounts, mode, sc, opts)
-}
-
 // Profile is a named fixed (non-evolved) strategy for baseline mixes.
 type Profile = baselines.Profile
 
@@ -332,12 +304,9 @@ var (
 )
 
 // RunMix plays one tournament with a fixed population of profiles and CSN.
-//
-// Deprecated: use Session.RunMix (or Submit a MixSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunMix(cfg MixConfig) (*MixResult, error) {
-	return DefaultSession().RunMix(context.Background(), cfg)
-}
+// A mix is a single bounded tournament, far below generation granularity,
+// so it takes no context and always runs to completion.
+func RunMix(cfg MixConfig) (*MixResult, error) { return baselines.RunMix(cfg) }
 
 // GameConfig holds the game rules (payoffs, trust table, activity band).
 type GameConfig = game.Config
@@ -357,12 +326,12 @@ type IPDRPResult = ipdrp.Result
 // experiments (population 100, roulette selection).
 func DefaultIPDRPConfig(seed uint64) IPDRPConfig { return ipdrp.DefaultConfig(seed) }
 
-// RunIPDRP evolves a population of 5-bit IPDRP strategies.
-//
-// Deprecated: use Session.RunIPDRP (or Submit an IPDRPSpec). This wrapper
-// delegates to DefaultSession and is bit-identical to the Session path.
-func RunIPDRP(cfg IPDRPConfig) (*IPDRPResult, error) {
-	return DefaultSession().RunIPDRP(context.Background(), cfg)
+// RunIPDRP evolves a population of 5-bit IPDRP strategies. ctx is checked
+// once per generation; on cancellation the partial result (the series of
+// every completed generation) comes back with an error wrapping
+// ctx.Err().
+func RunIPDRP(ctx context.Context, cfg IPDRPConfig) (*IPDRPResult, error) {
+	return ipdrp.RunContext(ctx, cfg)
 }
 
 // Checkpoint is a champion checkpoint observed by the engine's
@@ -407,5 +376,6 @@ type LeagueStanding = league.Standing
 func BaselineSeats() []LeagueSeat { return league.BaselineSeats() }
 
 // RunLeagueTable plays a league directly, outside any session (the
-// engine-level entry point; Session.RunLeague is the job-level one).
+// engine-level entry point; submitting a LeagueJobSpec is the job-level
+// one).
 func RunLeagueTable(cfg LeagueConfig) (*LeagueTable, error) { return league.Run(cfg) }

@@ -1,9 +1,19 @@
 package adhocga
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// runBatch runs one scenario batch on a fresh session.
+func runBatch(runs []ScenarioRun, sc Scale, opts RunOptions) ([]*CaseResult, error) {
+	s := NewSession()
+	defer s.Close()
+	res, err := submitWait(s, ScenariosSpec{Runs: runs, Defaults: sc, Opts: opts})
+	out, _ := res.([]*CaseResult)
+	return out, err
+}
 
 func TestFacadeStrategyRoundtrip(t *testing.T) {
 	s, err := ParseStrategy("010 101 101 111 1")
@@ -52,7 +62,7 @@ func TestFacadeEvolveSmoke(t *testing.T) {
 	cfg.Generations = 3
 	var hooks int
 	cfg.OnGeneration = func(GenerationStats) { hooks++ }
-	res, err := Evolve(cfg)
+	res, err := Evolve(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestFacadeScenarioSmoke(t *testing.T) {
 		t.Errorf("saved spec missing name: %s", buf.String())
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	results, err := RunScenarios([]ScenarioRun{{Spec: specs[0], Seed: 8}}, sc, RunOptions{})
+	results, err := runBatch([]ScenarioRun{{Spec: specs[0], Seed: 8}}, sc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +124,19 @@ func TestFacadeScenarioSmoke(t *testing.T) {
 	}
 }
 
+// TestFacadeRunCaseSmoke runs Table 4 case 1 the way the facade does: as
+// the table4 registry scenario in a one-scenario batch.
 func TestFacadeRunCaseSmoke(t *testing.T) {
-	c, err := CaseByID(1)
+	fam, err := ScenarioFamilyByName("table4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	res, err := RunCase(c, sc, RunOptions{Seed: 4})
+	results, err := runBatch([]ScenarioRun{{Spec: fam.Specs()[0], Seed: 4}}, sc, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	if len(res.CoopMean) != 2 || res.Census.Total() != 200 {
 		t.Errorf("result shape wrong: %d gens, census %d", len(res.CoopMean), res.Census.Total())
 	}

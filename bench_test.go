@@ -41,7 +41,7 @@ func benchCase(b *testing.B, id int) *experiment.CaseResult {
 	}
 	var res *experiment.CaseResult
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunCase(c, benchScale, experiment.Options{Seed: uint64(40 + id), Parallelism: 1})
+		res, err = experiment.RunCaseContext(context.Background(), c, benchScale, experiment.Options{Seed: uint64(40 + id), Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func BenchmarkCSNSweep(b *testing.B) {
 	var points []experiment.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiment.CSNSweep([]int{0, 10, 20, 30, 40}, ShorterPaths(), sc, experiment.Options{Seed: 59})
+		points, err = experiment.CSNSweepContext(context.Background(), []int{0, 10, 20, 30, 40}, ShorterPaths(), sc, experiment.Options{Seed: 59})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +288,7 @@ var sweepThroughputCounts = []int{0, 5, 10, 15, 20, 25, 30, 35}
 // sweep. Compare units/s against BenchmarkSweepThroughputBarrier.
 func BenchmarkSweepThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CSNSweep(sweepThroughputCounts, ShorterPaths(),
+		if _, err := experiment.CSNSweepContext(context.Background(), sweepThroughputCounts, ShorterPaths(),
 			sweepThroughputScale, experiment.Options{Seed: 60}); err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkSweepThroughputBarrier(b *testing.B) {
 				Environments: []tournament.Environment{{Name: "E", CSN: csn}},
 				Mode:         ShorterPaths(),
 			}
-			if _, err := experiment.RunCase(c, sweepThroughputScale,
+			if _, err := experiment.RunCaseContext(context.Background(), c, sweepThroughputScale,
 				experiment.Options{Seed: uint64(60 + pi)}); err != nil {
 				b.Fatal(err)
 			}
@@ -333,8 +333,9 @@ func sessionThroughputRuns() []experiment.ScenarioRun {
 }
 
 // BenchmarkSessionThroughput compares the same scenario batch through the
-// Session/Job API (Submit + event stream drained) and the legacy
-// RunScenarios facade. The two run identical work over the same worker
+// Session/Job API (Submit + event stream drained) and a direct
+// experiment.RunScenariosContext call (the "legacy" row, named for the
+// facade it once timed). The two run identical work over the same worker
 // discipline, so the submit/legacy units/s gap is exactly the API's
 // overhead: job bookkeeping plus one event per generation and replicate.
 // Measured locally the gap is under 2% (the event path is append +
@@ -364,7 +365,7 @@ func BenchmarkSessionThroughput(b *testing.B) {
 	})
 	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunScenarios(sessionThroughputRuns(),
+			if _, err := experiment.RunScenariosContext(context.Background(), sessionThroughputRuns(),
 				sweepThroughputScale, experiment.Options{Seed: 61}); err != nil {
 				b.Fatal(err)
 			}
@@ -380,7 +381,7 @@ func BenchmarkIPDRP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := ipdrp.DefaultConfig(57)
 		cfg.Generations = 50
-		res, err := ipdrp.Run(cfg)
+		res, err := ipdrp.RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

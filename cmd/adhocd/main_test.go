@@ -320,13 +320,33 @@ func TestDaemonChampionsFlag(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
+	var harvest struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(body, &harvest); err != nil {
+		t.Fatal(err)
+	}
 
-	// Champions appear once the job's checkpoints land.
+	// Champions appear once the job's checkpoints land. Count them only
+	// after the job is done: a job between its two checkpoints has
+	// archived one champion, and the league below would seat both.
+	deadline := time.Now().Add(30 * time.Second)
+	for harvest.State != "done" {
+		if time.Now().After(deadline) || harvest.State == "failed" {
+			t.Fatalf("harvest job stuck in %q", harvest.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if code, body := get(base, "/v1/jobs/"+harvest.ID); code == http.StatusOK {
+			if err := json.Unmarshal(body, &harvest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var champs struct {
 		Count   int    `json:"count"`
 		Archive string `json:"archive"`
 	}
-	deadline := time.Now().Add(30 * time.Second)
 	for champs.Count == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no champions harvested")

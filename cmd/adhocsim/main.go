@@ -13,20 +13,16 @@
 // default to the scenario's values (its first environment); explicit
 // flags still win. The argument must resolve to exactly one scenario.
 //
-// The tournament runs as a mix job on a Session (package adhocga), the
-// same API adhocd serves; SIGINT before the tournament starts aborts
-// cleanly.
+// The tournament is one adhocga.RunMix call: a single bounded tournament
+// that always runs to completion.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"adhocga"
 	"adhocga/internal/baselines"
@@ -103,11 +99,7 @@ func main() {
 		}
 		cfg.Recorder = meter
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	session := adhocga.NewSession(adhocga.WithPoolSize(1))
-	defer session.Close()
-	res, err := session.RunMix(ctx, cfg)
+	res, err := adhocga.RunMix(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -266,11 +266,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return nil
 	}
-	specFlags := set["islands"] || set["population"] || set["topology"] ||
-		set["migration-interval"] || set["migrants"] ||
-		set["churn"] || set["churn-interval"] || set["rewire"] ||
-		set["free-riders"] || set["liars"] || set["onoff"] || set["gossip"]
-
 	var results []*experiment.CaseResult
 	var code int
 	if *scenarioArg != "" {
@@ -299,11 +294,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Runs: runs, Defaults: sc,
 			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
 		}, names, *quiet, stdout, stderr)
-	} else if specFlags {
-		// The island/population/dynamics flags need the case in its
-		// declarative form; the Table 4 registry specs resolve to exactly
-		// what RunCase runs, so this only changes what the flags can
-		// reach.
+	} else {
+		// -case N runs the case's Table 4 registry scenario, which resolves
+		// to exactly the paper's case configuration; the island, population
+		// and dynamics flags overlay it like any other scenario. Pinning the
+		// run seed keeps a nonzero -seed the case's master seed (0 is the
+		// "derive" sentinel of the scenario layer, so -seed 0 runs on a
+		// stream derived from it, with or without the overlay flags).
 		if _, err := experiment.CaseByID(*caseID); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -318,24 +315,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		// Pinning the run seed keeps the replicate streams identical to
-		// the equivalent -case invocation without island flags for any
-		// nonzero -seed (0 is the "derive" sentinel throughout the
-		// scenario layer, so a zero seed runs on a derived stream here).
 		results, code = runJob(ctx, session, adhocga.ScenariosSpec{
 			Runs: []experiment.ScenarioRun{{Spec: spec, Seed: *seed}}, Defaults: sc,
 			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
 		}, []string{spec.Name}, *quiet, stdout, stderr)
-	} else {
-		c, err := experiment.CaseByID(*caseID)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		results, code = runJob(ctx, session, adhocga.CaseSpec{
-			Case: c, Scale: sc,
-			Opts: experiment.Options{Seed: *seed, Parallelism: *par},
-		}, []string{c.Name}, *quiet, stdout, stderr)
 	}
 	if code >= 0 {
 		return code
@@ -371,7 +354,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // -1 on success (results valid), interruptedExit after a cooperative
 // cancellation (the partial cooperation series has been printed with its
 // interruption marker), and 1 on failure.
-func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.JobSpec, names []string, quiet bool, stdout, stderr io.Writer) ([]*experiment.CaseResult, int) {
+func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.ScenariosSpec, names []string, quiet bool, stdout, stderr io.Writer) ([]*experiment.CaseResult, int) {
 	job, err := session.Submit(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -404,15 +387,7 @@ func runJob(ctx context.Context, session *adhocga.Session, spec adhocga.JobSpec,
 		fmt.Fprintln(stderr, err)
 		return nil, 1
 	}
-	switch res := job.Result().(type) {
-	case []*experiment.CaseResult:
-		return res, -1
-	case *experiment.CaseResult:
-		return []*experiment.CaseResult{res}, -1
-	default:
-		fmt.Fprintf(stderr, "evolve: unexpected job result %T\n", res)
-		return nil, 1
-	}
+	return job.Result().([]*experiment.CaseResult), -1
 }
 
 func printResult(w io.Writer, res *experiment.CaseResult) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,41 @@ func TestRunCaseByteIdenticalAtFixedSeed(t *testing.T) {
 	}
 	if !strings.Contains(out1, "final cooperation:") {
 		t.Errorf("output missing the summary line:\n%s", out1)
+	}
+}
+
+// TestRunCaseMatchesGolden pins the stdout of a -case run byte for byte
+// against testdata/case3_seed7.golden. The golden was recorded from a
+// direct run of the case (experiment.RunCaseContext), so it also pins that
+// the Table 4 scenario -case runs is byte-identical to the case itself.
+func TestRunCaseMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/case3_seed7.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCLI(t, "-case", "3", "-generations", "2", "-rounds", "10", "-reps", "2", "-seed", "7", "-q")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if out != string(want) {
+		t.Errorf("-case 3 output differs from the golden:\n--- got\n%s\n--- want\n%s", out, want)
+	}
+}
+
+// TestRunCaseSeedZeroIgnoresSpecFlags pins that a spec flag set to its
+// paper default does not change which run -case makes, at -seed 0 too.
+func TestRunCaseSeedZeroIgnoresSpecFlags(t *testing.T) {
+	args := []string{"-case", "1", "-generations", "2", "-rounds", "10", "-reps", "2", "-seed", "0", "-q"}
+	code1, plain, err1 := runCLI(t, args...)
+	if code1 != 0 {
+		t.Fatalf("exit %d, stderr: %s", code1, err1)
+	}
+	code2, withPop, err2 := runCLI(t, append(args, "-population", "100")...)
+	if code2 != 0 {
+		t.Fatalf("-population 100: exit %d, stderr: %s", code2, err2)
+	}
+	if plain != withPop {
+		t.Errorf("-population 100 changed the run:\n--- plain\n%s\n--- -population 100\n%s", plain, withPop)
 	}
 }
 

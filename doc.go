@@ -11,8 +11,7 @@
 // The front door is the Session/Job API. A Session (NewSession, with
 // functional options for pool size, default scale, seed policy, and a
 // concurrent-job bound) owns one shared execution pool for its lifetime;
-// every long-running workload is a typed JobSpec submitted with
-// Submit(ctx, spec), returning a Job handle that streams a unified Event
+// a job is a typed JobSpec submitted with Submit(ctx, spec), returning a Job handle that streams a unified Event
 // sequence through a bounded fan-out hub (Subscribe with per-subscription
 // backpressure policies, Events as the archival shorthand), waits (Wait),
 // and cancels cooperatively at generation barriers (Cancel) — so
@@ -21,33 +20,39 @@
 // oversubscribing it. cmd/adhocd serves exactly this API over HTTP,
 // SSE, and WebSocket (internal/service).
 //
-// The workload kinds (each a JobSpec, each with a Session convenience
-// method and a deprecated package-level wrapper over DefaultSession):
+// There are two job kinds (JobSpec implementations), one way to start
+// each — Submit (or SubmitNamed with a caller-chosen ID):
 //
-//   - EvolveSpec / Session.Evolve runs one evolutionary experiment and
-//     returns the cooperation trajectory and final strategy population;
-//   - IslandsSpec / Session.EvolveIslands runs it on the island-model
-//     engine: the population sharded into subpopulations evolved
-//     concurrently, with periodic elite migration over a pluggable
-//     topology (ring, fully-connected, random-pairs) — deterministic for
-//     a fixed seed at any parallelism level, bit-identical to Evolve
-//     with one island;
-//   - CaseSpec / Session.RunCase reproduces one of the paper's four
-//     evaluation cases over repeated replications at a chosen scale;
-//   - ScenariosSpec / Session.RunScenarios runs any batch of
-//     declarative, JSON-serializable ScenarioSpecs — user-authored or
-//     from the built-in registry (ScenarioFamilies: table4, csn-grid,
-//     tournament-size, mixed-env, table4-islands, island-topology-sweep,
-//     churn-sweep, adversary-grid) — every (scenario × replicate) pair
-//     one work unit on the session pool, bit-identical at any
-//     parallelism level; a spec's "islands" block routes it through the
+//   - ScenariosSpec runs any batch of declarative, JSON-serializable
+//     ScenarioSpecs — user-authored or from the built-in registry
+//     (ScenarioFamilies: table4, csn-grid, tournament-size, mixed-env,
+//     table4-islands, island-topology-sweep, churn-sweep,
+//     adversary-grid) — every (scenario × replicate) pair one work unit
+//     on the session pool, bit-identical at any parallelism level. The
+//     paper's four evaluation cases are the table4 family, a CSN sweep
+//     is the csn-grid family (or any batch of single-environment
+//     scenarios), and a spec's "islands" block routes it through the
 //     island-model engine;
-//   - SweepSpec / Session.CSNSweep traces evolved cooperation against
-//     the selfish-node count;
-//   - MixSpec / Session.RunMix plays fixed (non-evolved) behavior mixes
-//     through the same network model for baseline comparisons;
-//   - IPDRPSpec / Session.RunIPDRP evolves the IPDRP substrate the
-//     paper's game generalizes.
+//   - LeagueJobSpec seats checkpointed champions from the session's
+//     archive (plus optional scripted baselines) in a round-robin league.
+//
+// Workloads that are not jobs are plain functions with no Session:
+//
+//   - Evolve(ctx, cfg) runs one evolutionary experiment and returns the
+//     cooperation trajectory and final strategy population;
+//   - EvolveIslands(ctx, cfg) runs it on the island-model engine: the
+//     population sharded into subpopulations evolved concurrently, with
+//     periodic elite migration over a pluggable topology (ring,
+//     fully-connected, random-pairs) — deterministic for a fixed seed at
+//     any parallelism level, bit-identical to Evolve with one island;
+//   - RunIPDRP(ctx, cfg) evolves the IPDRP substrate the paper's game
+//     generalizes;
+//   - RunMix(cfg) plays fixed (non-evolved) behavior mixes through the
+//     same network model for baseline comparisons (a single bounded
+//     tournament, so it takes no context).
+//
+// The three that take a context check it at generation barriers and
+// return their partial result on cancellation.
 //
 // The simulation core is dense and allocation-free in steady state:
 // NodeIDs are dense integers (enforced by tournament.BuildRegistry), so

@@ -64,9 +64,8 @@ type Event struct {
 
 // GenerationEvent is the per-generation snapshot of one serial replicate:
 // the §6.2 cooperation observables and the population's fitness moments.
-// Scenario is the index of the scenario (or sweep point) within the job's
-// batch and Rep the replicate within it; both are 0 for single-run jobs
-// (Session.Evolve, Session.RunIPDRP).
+// Scenario is the index of the scenario within the job's batch and Rep
+// the replicate within it.
 type GenerationEvent struct {
 	Scenario    int     `json:"scenario"`
 	Rep         int     `json:"rep"`

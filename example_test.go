@@ -50,7 +50,7 @@ func ExampleEvolve() {
 	cfg.Eval.TournamentSize = 10
 	cfg.Eval.Tournament.Rounds = 10
 	cfg.Generations = 3
-	res, err := adhocga.Evolve(cfg)
+	res, err := adhocga.Evolve(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -61,19 +61,24 @@ func ExampleEvolve() {
 	// final strategies: 20
 }
 
-// Submit an evolution as a job on a Session and stream its unified event
-// feed — the context-aware form of ExampleEvolve.
+// Submit a scenario batch as a job on a Session and stream its unified
+// event feed — the evolution of ExampleEvolve as a one-scenario job.
 func ExampleSession_Submit() {
 	session := adhocga.NewSession(adhocga.WithPoolSize(2))
 	defer session.Close()
 
-	cfg := adhocga.DefaultEvolutionConfig(adhocga.PaperEnvironments()[:1], adhocga.ShorterPaths(), 42)
-	cfg.PopulationSize = 20
-	cfg.Eval.TournamentSize = 10
-	cfg.Eval.Tournament.Rounds = 10
-	cfg.Generations = 3
-
-	job, err := session.Submit(context.Background(), adhocga.EvolveSpec{Config: cfg})
+	spec := adhocga.ScenarioSpec{
+		Name:           "small",
+		Environments:   []adhocga.ScenarioEnv{{CSN: 0}},
+		Population:     20,
+		TournamentSize: 10,
+		Rounds:         10,
+		Generations:    3,
+		Repetitions:    1,
+	}
+	job, err := session.Submit(context.Background(), adhocga.ScenariosSpec{
+		Runs: []adhocga.ScenarioRun{{Spec: spec, Seed: 42}},
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -86,10 +91,10 @@ func ExampleSession_Submit() {
 	if err := job.Wait(context.Background()); err != nil {
 		panic(err)
 	}
-	res := job.Result().(*adhocga.EvolutionResult)
+	res := job.Result().([]*adhocga.CaseResult)
 	fmt.Println("job:", job.ID(), "state:", job.State())
 	fmt.Println("generation events:", generations)
-	fmt.Println("final strategies:", len(res.FinalStrategies))
+	fmt.Println("final strategies:", res[0].Census.Total())
 	// Output:
 	// job: job-1 state: done
 	// generation events: 3

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	cfg.PopulationSize = 200
 	cfg.Generations = 30
 
-	res, err := adhocga.EvolveIslands(adhocga.IslandConfig{
+	res, err := adhocga.EvolveIslands(context.Background(), adhocga.IslandConfig{
 		Core:     cfg,
 		Count:    4,
 		Topology: adhocga.TopologyRing, // also: TopologyFullyConnected, TopologyRandomPairs

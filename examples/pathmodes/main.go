@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,20 +15,32 @@ import (
 )
 
 func main() {
-	sc := adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2}
-
+	// Cases 3 and 4 are the last two scenarios of the table4 family; one
+	// job runs both as a batch on a shared pool.
+	table4, err := adhocga.ScenarioFamilyByName("table4")
+	if err != nil {
+		log.Fatal(err)
+	}
+	var runs []adhocga.ScenarioRun
+	for _, spec := range table4.Specs()[2:] {
+		fmt.Printf("running %s...\n", spec.Name)
+		runs = append(runs, adhocga.ScenarioRun{Spec: spec, Seed: uint64(10 + spec.ID)})
+	}
+	session := adhocga.NewSession()
+	defer session.Close()
+	job, err := session.Submit(context.Background(), adhocga.ScenariosSpec{
+		Runs:     runs,
+		Defaults: adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	results := map[int]*adhocga.CaseResult{}
-	for _, id := range []int{3, 4} {
-		c, err := adhocga.CaseByID(id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("running %s...\n", c.Name)
-		res, err := adhocga.RunCase(c, sc, adhocga.RunOptions{Seed: uint64(10 + id)})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[id] = res
+	for _, res := range job.Result().([]*adhocga.CaseResult) {
+		results[res.Case.ID] = res
 	}
 
 	fmt.Println("\nper-environment cooperation (paper Table 5):")

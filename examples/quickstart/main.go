@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 		}
 	}
 
-	res, err := adhocga.Evolve(cfg)
+	res, err := adhocga.Evolve(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,16 +32,25 @@ func main() {
 	fmt.Printf("  normal nodes' delivery: %5.1f%%\n", naive.Cooperation*100)
 	fmt.Printf("  CSN delivery (free riding): %5.1f%%\n\n", naive.CSNDelivery*100)
 
-	// World 2: the same environment, but strategies evolve (case 2).
-	c, err := adhocga.CaseByID(2)
+	// World 2: the same environment, but strategies evolve (case 2, the
+	// second scenario of the table4 family), submitted as a job.
+	table4, err := adhocga.ScenarioFamilyByName("table4")
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2}
-	res, err := adhocga.RunCase(c, sc, adhocga.RunOptions{Seed: 7})
+	session := adhocga.NewSession()
+	defer session.Close()
+	job, err := session.Submit(context.Background(), adhocga.ScenariosSpec{
+		Runs:     []adhocga.ScenarioRun{{Spec: table4.Specs()[1], Seed: 7}},
+		Defaults: adhocga.Scale{Name: "example", Generations: 30, Rounds: 300, Repetitions: 2},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := job.Wait(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	res := job.Result().([]*adhocga.CaseResult)[0]
 	fmt.Println("evolved strategies in the same environment (case 2):")
 	fmt.Printf("  normal nodes' delivery: %5.1f%%  (paper: ~19%%)\n", res.FinalCoop.Mean*100)
 	accCSN, rejNP, _ := res.FromCSN.Fractions()

@@ -31,13 +31,21 @@ func main() {
 	defer session.Close()
 
 	// --- Embedded: submit, stream, wait. ---
-	cfg := adhocga.DefaultEvolutionConfig(adhocga.PaperEnvironments()[:1], adhocga.ShorterPaths(), 1)
-	cfg.PopulationSize = 30
-	cfg.Eval.TournamentSize = 15
-	cfg.Eval.Tournament.Rounds = 50
-	cfg.Generations = 10
-
-	job, err := session.Submit(context.Background(), adhocga.EvolveSpec{Config: cfg})
+	spec := adhocga.ScenarioSpec{
+		Name:           "embedded-demo",
+		Environments:   []adhocga.ScenarioEnv{{CSN: 0}},
+		Population:     30,
+		TournamentSize: 15,
+		Rounds:         50,
+		Generations:    10,
+		Repetitions:    1,
+	}
+	// The embedded jobs take their own IDs: the HTTP service numbers its
+	// jobs job-1, job-2, … and would otherwise collide with the session's
+	// default IDs.
+	job, err := session.SubmitNamed(context.Background(), "embedded-1", adhocga.ScenariosSpec{
+		Runs: []adhocga.ScenarioRun{{Spec: spec, Seed: 1}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,45 +61,46 @@ func main() {
 			fmt.Printf("  terminal state: %s\n", e.Done.State)
 		}
 	}
-	res := job.Result().(*adhocga.EvolutionResult)
-	fmt.Printf("final cooperation: %.1f%%\n\n", res.CoopSeries[len(res.CoopSeries)-1]*100)
+	res := job.Result().([]*adhocga.CaseResult)[0]
+	fmt.Printf("final cooperation: %s\n\n", res.FinalCoop)
 
 	// --- Cancellation: a job stops at its next generation barrier. ---
-	long := cfg
+	long := spec
 	long.Generations = 1_000_000
-	victim, err := session.Submit(context.Background(), adhocga.EvolveSpec{Config: long})
+	victim, err := session.SubmitNamed(context.Background(), "embedded-2", adhocga.ScenariosSpec{
+		Runs: []adhocga.ScenarioRun{{Spec: long, Seed: 1}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for e := range victim.EventsContext(context.Background()) {
+	var partial adhocga.PartialSeries
+	for e := range victim.Events() {
+		partial.Add(e)
 		if e.Kind == adhocga.KindGeneration && e.Generation.Gen == 2 {
 			victim.Cancel() // cooperative: next barrier, determinism intact
-			break
 		}
 	}
-	victim.Wait(context.Background())
-	partial := victim.Result().(*adhocga.EvolutionResult)
-	fmt.Printf("cancelled %s after %d of %d generations (state %s)\n\n",
-		victim.ID(), len(partial.CoopSeries), long.Generations, victim.State())
+	fmt.Printf("cancelled %s after generation %d of %d (state %s)\n\n",
+		victim.ID(), partial.LastGeneration(), long.Generations, victim.State())
 
 	// --- Over HTTP: what `adhocd` serves, here on an httptest listener.
 	// With a real daemon this is:  curl -s localhost:8547/v1/jobs -d @spec.json
 	srv := httptest.NewServer(service.New(session, service.Options{DefaultScale: adhocga.ScaleSmoke}))
 	defer srv.Close()
 
-	spec := `{"scenarios": {"name": "http-demo", "environments": [{"csn": 10}],
+	body := `{"scenarios": {"name": "http-demo", "environments": [{"csn": 10}],
 	          "population": 30, "tournament_size": 15,
 	          "generations": 8, "rounds": 50, "repetitions": 2, "seed": 7},
 	          "parallelism": 1}`
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
 	fmt.Println("POST /v1/jobs →", resp.Status)
 
-	// Stream the job's NDJSON events (curl -N …/v1/jobs/job-3/events).
-	stream, err := http.Get(srv.URL + "/v1/jobs/job-3/events")
+	// Stream the job's NDJSON events (curl -N …/v1/jobs/job-1/events).
+	stream, err := http.Get(srv.URL + "/v1/jobs/job-1/events")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +115,7 @@ func main() {
 	}
 	fmt.Printf("streamed %d NDJSON events\n", lines)
 
-	status, err := http.Get(srv.URL + "/v1/jobs/job-3")
+	status, err := http.Get(srv.URL + "/v1/jobs/job-1")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 
 // job is one scenario resolved to a concrete workload. The shared worker
 // pool schedules its repetitions as individual work units; every workload
-// in the package — RunCase, CSNSweep, RunScenarios — flattens to jobs.
+// in the package — RunCaseContext, CSNSweepContext, RunScenariosContext —
+// flattens to jobs.
 type job struct {
 	c    Case
 	sc   Scale
@@ -219,7 +220,7 @@ type ScenarioRun struct {
 	Seed uint64
 }
 
-// RunScenarios runs a batch of declarative scenarios over one shared
+// RunScenariosContext runs a batch of declarative scenarios over one shared
 // worker pool and aggregates each into a CaseResult, in input order.
 // Scenario fields left at zero fall back to the paper's parameterization
 // and to the defaults scale.
@@ -228,13 +229,7 @@ type ScenarioRun struct {
 // pinned Seed, the ScenarioRun's Seed, or a per-scenario stream derived
 // from Options.Seed (so unpinned scenarios in one batch never share
 // replicate streams). Deterministic for fixed seeds regardless of
-// parallelism.
-func RunScenarios(runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
-	return RunScenariosContext(context.Background(), runs, defaults, opts)
-}
-
-// RunScenariosContext is RunScenarios with cooperative cancellation (see
-// RunCaseContext for the contract).
+// parallelism. Cancellation follows the RunCaseContext contract.
 func RunScenariosContext(ctx context.Context, runs []ScenarioRun, defaults Scale, opts Options) ([]*CaseResult, error) {
 	// One derived fallback per run, consumed unconditionally so that
 	// pinning one scenario's seed never shifts its neighbors' streams.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -44,7 +45,7 @@ func TestRunScenariosMatchesRunCase(t *testing.T) {
 		{Spec: specs[0], Seed: 11},
 		{Spec: specs[2], Seed: 13},
 	}
-	batched, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 4})
+	batched, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRunScenariosMatchesRunCase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone, err := RunCase(c, tinyScale(), Options{Seed: runs[i].Seed, Parallelism: 1})
+		alone, err := RunCaseContext(context.Background(), c, tinyScale(), Options{Seed: runs[i].Seed, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +73,11 @@ func TestRunScenariosDeterministicAcrossParallelism(t *testing.T) {
 		{Spec: scenario.Spec{Name: "b", Environments: []scenario.EnvSpec{{CSN: 10}}, PathMode: "LP"}, Seed: 4},
 		{Spec: scenario.Spec{Name: "c", Environments: []scenario.EnvSpec{{CSN: 30}}, Repetitions: 3}, Seed: 5},
 	}
-	seq, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 1})
+	seq, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 8})
+	par, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRunScenariosSpecOverridesReachEngine(t *testing.T) {
 		Rounds:         10,
 		Repetitions:    2,
 	}
-	res, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 9}}, tinyScale(), Options{})
+	res, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: spec, Seed: 9}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestRunScenariosSpecOverridesReachEngine(t *testing.T) {
 
 func TestRunScenariosPinnedSeedWins(t *testing.T) {
 	spec := scenario.Spec{Name: "pinned", Environments: []scenario.EnvSpec{{CSN: 0}}, Seed: 77}
-	a, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 1}}, tinyScale(), Options{})
+	a, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: spec, Seed: 1}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenarios([]ScenarioRun{{Spec: spec, Seed: 2}}, tinyScale(), Options{})
+	b, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: spec, Seed: 2}}, tinyScale(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		return scenario.Spec{Name: name, Environments: []scenario.EnvSpec{{CSN: 0}}}
 	}
 	runs := []ScenarioRun{{Spec: spec("a")}, {Spec: spec("b")}}
-	first, err := RunScenarios(runs, tinyScale(), Options{Seed: 1})
+	first, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		t.Error("two unpinned scenarios produced identical results")
 	}
 	// The batch seed must matter...
-	other, err := RunScenarios(runs, tinyScale(), Options{Seed: 2})
+	other, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 		t.Error("changing Options.Seed did not change unpinned scenario results")
 	}
 	// ...and be reproducible.
-	again, err := RunScenarios(runs, tinyScale(), Options{Seed: 1})
+	again, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 	}
 	// Pinning one run's seed must not shift its neighbor's stream.
 	pinned := []ScenarioRun{{Spec: spec("a"), Seed: 999}, {Spec: spec("b")}}
-	mixed, err := RunScenarios(pinned, tinyScale(), Options{Seed: 1})
+	mixed, err := RunScenariosContext(context.Background(), pinned, tinyScale(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +175,14 @@ func TestRunScenariosOptionsSeedIsBatchFallback(t *testing.T) {
 
 func TestRunScenariosRejectsBadSpecs(t *testing.T) {
 	bad := []ScenarioRun{{Spec: scenario.Spec{Name: "no envs"}}}
-	if _, err := RunScenarios(bad, tinyScale(), Options{}); err == nil {
+	if _, err := RunScenariosContext(context.Background(), bad, tinyScale(), Options{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 	impossible := []ScenarioRun{{Spec: scenario.Spec{
 		Name:         "csn over tournament size",
 		Environments: []scenario.EnvSpec{{CSN: 60}},
 	}}}
-	if _, err := RunScenarios(impossible, tinyScale(), Options{}); err == nil {
+	if _, err := RunScenariosContext(context.Background(), impossible, tinyScale(), Options{}); err == nil {
 		t.Error("impossible spec accepted")
 	}
 }
@@ -192,7 +193,7 @@ func TestRunScenariosProgressSpansBatch(t *testing.T) {
 		{Spec: scenario.Spec{Name: "b", Environments: []scenario.EnvSpec{{CSN: 0}}, Repetitions: 3}, Seed: 2},
 	}
 	var calls, last int
-	_, err := RunScenarios(runs, tinyScale(), Options{Parallelism: 1, OnReplicate: func(done, total int) {
+	_, err := RunScenariosContext(context.Background(), runs, tinyScale(), Options{Parallelism: 1, OnReplicate: func(done, total int) {
 		calls++
 		last = done
 		if total != 5 { // 2 + 3 replicates flattened into one queue
@@ -208,7 +209,7 @@ func TestRunScenariosProgressSpansBatch(t *testing.T) {
 }
 
 func TestRunScenariosEmptyBatch(t *testing.T) {
-	out, err := RunScenarios(nil, tinyScale(), Options{})
+	out, err := RunScenariosContext(context.Background(), nil, tinyScale(), Options{})
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %v", out, err)
 	}
@@ -221,11 +222,11 @@ func TestDeepEqualAcrossParallelismFullStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := tinyScale()
-	a, err := RunCase(c, sc, Options{Seed: 21, Parallelism: 1})
+	a, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 21, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCase(c, sc, Options{Seed: 21, Parallelism: 4})
+	b, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 21, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

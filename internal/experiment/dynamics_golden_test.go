@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestDynamicsGoldenBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		res, err := RunScenarios([]ScenarioRun{{Spec: dynGoldenSpec(), Seed: 42}}, sc,
+		res, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: dynGoldenSpec(), Seed: 42}}, sc,
 			Options{Seed: 42, Parallelism: procs})
 		if err != nil {
 			t.Fatal(err)
@@ -79,11 +80,11 @@ func TestDynamicsDisabledSpecMatchesPlainRun(t *testing.T) {
 	}
 	withBlock := base
 	withBlock.Dynamics = &scenario.DynamicsSpec{}
-	plain, err := RunScenarios([]ScenarioRun{{Spec: base, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
+	plain, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: base, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := RunScenarios([]ScenarioRun{{Spec: withBlock, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
+	blocked, err := RunScenariosContext(context.Background(), []ScenarioRun{{Spec: withBlock, Seed: 9}}, sc, Options{Seed: 9, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestDynamicsFamiliesEndToEnd(t *testing.T) {
 		for _, spec := range f.Specs() {
 			runs = append(runs, ScenarioRun{Spec: spec})
 		}
-		results, err := RunScenarios(runs, sc, Options{Seed: 3})
+		results, err := RunScenariosContext(context.Background(), runs, sc, Options{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}

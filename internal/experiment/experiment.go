@@ -2,7 +2,7 @@
 // evaluation cases of Table 4, run over repeated replications with
 // independent seeds, aggregated into the numbers behind Fig 4 and
 // Tables 5–9 — and generalizes it to arbitrary batches of declarative
-// scenarios (internal/scenario) via RunScenarios.
+// scenarios (internal/scenario) via RunScenariosContext.
 //
 // Every workload flattens to (scenario × replicate) work units on one
 // shared bounded worker pool (internal/runner); each replicate owns an
@@ -151,7 +151,8 @@ type CaseResult struct {
 	Recovery *RecoverySummary
 }
 
-// Options tune a RunCase invocation.
+// Options tune one RunCaseContext, CSNSweepContext, or
+// RunScenariosContext invocation.
 type Options struct {
 	Seed        uint64
 	Parallelism int // worker pool size; ≤0 means GOMAXPROCS
@@ -189,16 +190,12 @@ type Options struct {
 	OnCheckpoint func(scenario, rep int, seed uint64, cp core.Checkpoint)
 }
 
-// RunCase runs one evaluation case at the given scale and aggregates the
-// results. Deterministic for a fixed (case, scale, seed) regardless of
-// parallelism, and bit-identical to the pre-runner per-case execution.
-func RunCase(c Case, sc Scale, opts Options) (*CaseResult, error) {
-	return RunCaseContext(context.Background(), c, sc, opts)
-}
-
-// RunCaseContext is RunCase with cooperative cancellation: replicates stop
-// at their next generation barrier and no new replicate starts once ctx is
-// done. On cancellation it returns a nil result and an error satisfying
+// RunCaseContext runs one evaluation case at the given scale and
+// aggregates the results. Deterministic for a fixed (case, scale, seed)
+// regardless of parallelism, and bit-identical to the pre-runner per-case
+// execution. Cancellation is cooperative: replicates stop at their next
+// generation barrier and no new replicate starts once ctx is done. On
+// cancellation it returns a nil result and an error satisfying
 // errors.Is(err, ctx.Err()); stream partial progress through the Options
 // hooks (or the Session event layer) if you need it.
 func RunCaseContext(ctx context.Context, c Case, sc Scale, opts Options) (*CaseResult, error) {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestRunCaseSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scale{Name: "tiny", Generations: 3, Rounds: 20, Repetitions: 3}
-	res, err := RunCase(c, sc, Options{Seed: 1, Parallelism: 2})
+	res, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 1, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestRunCaseDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 4}
-	seq, err := RunCase(c, sc, Options{Seed: 9, Parallelism: 1})
+	seq, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCase(c, sc, Options{Seed: 9, Parallelism: 4})
+	par, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 9, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRunCaseProgressCallback(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 3}
 	var calls int
 	var last int
-	_, err := RunCase(c, sc, Options{Seed: 3, Parallelism: 1, OnReplicate: func(done, total int) {
+	_, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 3, Parallelism: 1, OnReplicate: func(done, total int) {
 		calls++
 		last = done
 		if total != 3 {
@@ -141,7 +142,7 @@ func TestRunCaseProgressCallback(t *testing.T) {
 
 func TestRunCaseRejectsZeroReps(t *testing.T) {
 	c, _ := CaseByID(1)
-	if _, err := RunCase(c, Scale{Name: "bad"}, Options{}); err == nil {
+	if _, err := RunCaseContext(context.Background(), c, Scale{Name: "bad"}, Options{}); err == nil {
 		t.Error("zero repetitions accepted")
 	}
 }
@@ -155,7 +156,7 @@ func smokeResults(t *testing.T) map[int]*CaseResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCase(c, sc, Options{Seed: uint64(id)})
+		res, err := RunCaseContext(context.Background(), c, sc, Options{Seed: uint64(id)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestRunCaseGoldenBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		res, err := RunCase(c, goldenScale(), Options{Seed: 42, Parallelism: par})
+		res, err := RunCaseContext(context.Background(), c, goldenScale(), Options{Seed: 42, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestCSNSweepGoldenBitIdentical(t *testing.T) {
 	// Golden values recorded from the pre-runner sweep, which barriered
 	// between points; the flattened single-queue sweep must match exactly.
 	for _, par := range []int{1, 8} {
-		points, err := CSNSweep([]int{0, 10, 25}, network.ShorterPaths(), goldenScale(),
+		points, err := CSNSweepContext(context.Background(), []int{0, 10, 25}, network.ShorterPaths(), goldenScale(),
 			Options{Seed: 7, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func islandRun(count int) ScenarioRun {
 }
 
 func TestRunScenariosIslandSummary(t *testing.T) {
-	res, err := RunScenarios([]ScenarioRun{islandRun(4)}, tinyScale(), Options{Seed: 3})
+	res, err := RunScenariosContext(context.Background(), []ScenarioRun{islandRun(4)}, tinyScale(), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRunScenariosIslandSummary(t *testing.T) {
 
 func TestRunScenariosIslandsDeterministicAcrossParallelism(t *testing.T) {
 	run := func(par int) string {
-		res, err := RunScenarios([]ScenarioRun{islandRun(4)}, tinyScale(), Options{Seed: 11, Parallelism: par})
+		res, err := RunScenariosContext(context.Background(), []ScenarioRun{islandRun(4)}, tinyScale(), Options{Seed: 11, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +75,11 @@ func TestRunScenariosIslandsDeterministicAcrossParallelism(t *testing.T) {
 func TestOneIslandScenarioMatchesSerialScenario(t *testing.T) {
 	serial := islandRun(1)
 	serial.Spec.Islands = nil
-	want, err := RunScenarios([]ScenarioRun{serial}, tinyScale(), Options{Seed: 5})
+	want, err := RunScenariosContext(context.Background(), []ScenarioRun{serial}, tinyScale(), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunScenarios([]ScenarioRun{islandRun(1)}, tinyScale(), Options{Seed: 5})
+	got, err := RunScenariosContext(context.Background(), []ScenarioRun{islandRun(1)}, tinyScale(), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestOneIslandScenarioMatchesSerialScenario(t *testing.T) {
 
 func TestRunScenariosRejectsBadIslandSpecUpFront(t *testing.T) {
 	bad := islandRun(3) // 40 % 3 != 0
-	if _, err := RunScenarios([]ScenarioRun{bad}, tinyScale(), Options{Seed: 1}); err == nil {
+	if _, err := RunScenariosContext(context.Background(), []ScenarioRun{bad}, tinyScale(), Options{Seed: 1}); err == nil {
 		t.Error("indivisible island sharding was not rejected")
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ func TestToJSONRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 15, Repetitions: 2}
-	res, err := RunCase(c, sc, Options{Seed: 5})
+	res, err := RunCaseContext(context.Background(), c, sc, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"adhocga/internal/tournament"
 )
 
-// CSNSweep generalizes the paper's four fixed environments into a curve:
+// CSNSweepContext generalizes the paper's four fixed environments into a curve:
 // evolved cooperation as a function of the number of constantly selfish
 // nodes in a 50-player tournament. The paper samples this curve at 0, 10,
 // 25 and 30 (Tab 1); sweeping it densely locates where cooperation
@@ -22,19 +22,13 @@ type SweepPoint struct {
 	Cooperation stats.Summary // final-generation cooperation across reps
 }
 
-// CSNSweep runs one single-environment evolution per CSN count and
+// CSNSweepContext runs one single-environment evolution per CSN count and
 // returns the evolved cooperation level at each. All (point × replicate)
 // pairs are flattened into one shared worker pool, so workers cross sweep
 // points without a barrier and stay busy even when repetitions are fewer
 // than cores. Deterministic for a fixed seed — each point's master seed is
 // derived in csnCounts order, so results are bit-identical to running the
-// points one by one.
-func CSNSweep(csnCounts []int, mode network.PathMode, sc Scale, opts Options) ([]SweepPoint, error) {
-	return CSNSweepContext(context.Background(), csnCounts, mode, sc, opts)
-}
-
-// CSNSweepContext is CSNSweep with cooperative cancellation (see
-// RunCaseContext for the contract).
+// points one by one. Cancellation follows the RunCaseContext contract.
 func CSNSweepContext(ctx context.Context, csnCounts []int, mode network.PathMode, sc Scale, opts Options) ([]SweepPoint, error) {
 	master := rng.New(opts.Seed)
 	jobs := make([]job, 0, len(csnCounts))

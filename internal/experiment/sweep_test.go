@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"adhocga/internal/network"
@@ -8,7 +9,7 @@ import (
 
 func TestCSNSweepShape(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 2, Rounds: 10, Repetitions: 2}
-	points, err := CSNSweep([]int{0, 10, 30}, network.ShorterPaths(), sc, Options{Seed: 1})
+	points, err := CSNSweepContext(context.Background(), []int{0, 10, 30}, network.ShorterPaths(), sc, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,10 @@ func TestCSNSweepShape(t *testing.T) {
 
 func TestCSNSweepValidatesRange(t *testing.T) {
 	sc := Scale{Name: "tiny", Generations: 1, Rounds: 5, Repetitions: 1}
-	if _, err := CSNSweep([]int{50}, network.ShorterPaths(), sc, Options{}); err == nil {
+	if _, err := CSNSweepContext(context.Background(), []int{50}, network.ShorterPaths(), sc, Options{}); err == nil {
 		t.Error("CSN=50 of 50 accepted")
 	}
-	if _, err := CSNSweep([]int{-1}, network.ShorterPaths(), sc, Options{}); err == nil {
+	if _, err := CSNSweepContext(context.Background(), []int{-1}, network.ShorterPaths(), sc, Options{}); err == nil {
 		t.Error("negative CSN accepted")
 	}
 }
@@ -50,7 +51,7 @@ func TestCSNSweepMonotone(t *testing.T) {
 		t.Skip("short mode")
 	}
 	sc := Scale{Name: "sweep", Generations: 20, Rounds: 300, Repetitions: 1}
-	points, err := CSNSweep([]int{0, 15, 30}, network.ShorterPaths(), sc, Options{Seed: 7})
+	points, err := CSNSweepContext(context.Background(), []int{0, 15, 30}, network.ShorterPaths(), sc, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

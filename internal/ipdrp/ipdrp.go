@@ -206,17 +206,13 @@ type playerState struct {
 	moves    int
 }
 
-// Run evolves a population of IPDRP strategies and returns the cooperation
-// trajectory. Deterministic for a given config.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation, checked once per
-// generation before play — never inside one — so an uncancelled run is
-// bit-identical to Run. On cancellation the partial Result (the
-// cooperation series of every completed generation, no final population)
-// is returned together with an error wrapping ctx.Err().
+// RunContext evolves a population of IPDRP strategies and returns the
+// cooperation trajectory. Deterministic for a given config. Cancellation
+// is cooperative, checked once per generation before play — never inside
+// one — so an uncancelled run is bit-identical whatever ctx is. On
+// cancellation the partial Result (the cooperation series of every
+// completed generation, no final population) is returned together with
+// an error wrapping ctx.Err().
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

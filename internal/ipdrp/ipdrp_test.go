@@ -1,6 +1,7 @@
 package ipdrp
 
 import (
+	"context"
 	"testing"
 
 	"adhocga/internal/bitstring"
@@ -117,7 +118,7 @@ func TestRunMechanics(t *testing.T) {
 			t.Errorf("generation %d cooperation rate %v", gen, coop)
 		}
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg.Population = 20
 		cfg.Rounds = 20
 		cfg.Generations = 5
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestDefectionDominatesUnderRandomPairing(t *testing.T) {
 	cfg.Population = 60
 	cfg.Rounds = 50
 	cfg.Generations = 40
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestAllCPopulationStaysCooperative(t *testing.T) {
 	cfg.Population = 10
 	cfg.Rounds = 10
 	cfg.Generations = 1
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCensusAfterEvolution(t *testing.T) {
 	cfg.Population = 40
 	cfg.Rounds = 40
 	cfg.Generations = 30
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkIPDRPGeneration(b *testing.B) {
 	cfg.Generations = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,9 +125,6 @@ func (s *Server) registerMetrics() {
 				{Labels: []string{"cancelled"}, Value: float64(st.Cancelled)},
 			}
 		})
-	m.CounterFunc("adhocd_engine_reuses_total",
-		"Jobs that ran on a recycled engine arena instead of building a fresh one.",
-		func() float64 { return float64(s.session.EngineReuses()) })
 	m.GaugeFunc("adhocd_pool_slots",
 		"Execution pool capacity (replicate units that can run at once).",
 		func() float64 { return float64(s.session.Stats().PoolSize) })

@@ -96,12 +96,22 @@ func TestSSEKeepaliveWithFakeClock(t *testing.T) {
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
-	longCfg := adhocga.DefaultEvolutionConfig(adhocga.PaperEnvironments()[:1], adhocga.ShorterPaths(), 7)
-	longCfg.PopulationSize = 20
-	longCfg.Eval.TournamentSize = 10
-	longCfg.Eval.Tournament.Rounds = 10
-	longCfg.Generations = 1 << 30 // never finishes; cancelled at a generation barrier on cleanup
-	hog, err := session.Submit(t.Context(), adhocga.EvolveSpec{Config: longCfg})
+	// A one-replicate batch of a CSN-free scenario: 20 strategies, 10-node
+	// tournaments of 10 rounds.
+	spec := func(generations int) adhocga.ScenariosSpec {
+		return adhocga.ScenariosSpec{Runs: []adhocga.ScenarioRun{{Spec: adhocga.ScenarioSpec{
+			Name:           "keepalive",
+			Environments:   []adhocga.ScenarioEnv{{CSN: 0}},
+			Population:     20,
+			TournamentSize: 10,
+			Rounds:         10,
+			Generations:    generations,
+			Repetitions:    1,
+		}, Seed: 7}}}
+	}
+	// 1<<30 generations never finishes; cancelled at a generation barrier
+	// on cleanup.
+	hog, err := session.Submit(t.Context(), spec(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +126,7 @@ func TestSSEKeepaliveWithFakeClock(t *testing.T) {
 	if got := hog.State(); got != adhocga.JobRunning {
 		t.Fatalf("hog job reached %s (err %v) instead of holding the slot", got, hog.Err())
 	}
-	queuedCfg := longCfg
-	queuedCfg.Generations = 1
-	job, err := session.Submit(t.Context(), adhocga.EvolveSpec{Config: queuedCfg})
+	job, err := session.Submit(t.Context(), spec(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 // spec under this seed produces exactly these bytes". Verify tests the
 // claim. It replays the job from its recorded spec in a sandboxed,
 // throwaway Session (its own pool — a verify pass never competes for the
-// serving session's job slots or reuses its engine arenas), re-derives
-// the result summary and the NDJSON event log, and compares:
+// serving session's job slots), re-derives the result summary and the
+// NDJSON event log, and compares:
 //
 //   - result digest: hex SHA-256 of the result summary JSON, checked for
 //     every job — including ones whose event log outgrew retention, where

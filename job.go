@@ -68,7 +68,7 @@ func newJob(id, kind string, cfg HubConfig, logger *slog.Logger) *Job {
 // submission order — deterministic for a fresh session).
 func (j *Job) ID() string { return j.id }
 
-// Kind returns the job kind tag ("evolve", "scenarios", …), as reported by
+// Kind returns the job kind tag ("scenarios" or "league"), as reported by
 // the submitted JobSpec.
 func (j *Job) Kind() string { return j.kind }
 
@@ -88,11 +88,10 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Result returns the job's outcome value once terminal, nil before. The
-// dynamic type depends on the spec kind (see each JobSpec). A cancelled
-// engine-level job (EvolveSpec, IslandsSpec, IPDRPSpec) still carries its
-// partial result here; batch jobs cancelled mid-flight carry nil — use
-// the event stream (PartialSeries) for their partial view.
+// Result returns the job's outcome value once terminal, nil before: a
+// []*CaseResult for a ScenariosSpec, a *LeagueTable for a LeagueJobSpec.
+// A job cancelled mid-flight carries nil — use the event stream
+// (PartialSeries) for a scenario batch's partial view.
 func (j *Job) Result() any {
 	j.mu.Lock()
 	defer j.mu.Unlock()

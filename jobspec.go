@@ -4,20 +4,17 @@ import (
 	"context"
 	"fmt"
 
-	"adhocga/internal/baselines"
 	"adhocga/internal/core"
 	"adhocga/internal/experiment"
-	"adhocga/internal/ga"
-	"adhocga/internal/ipdrp"
 	"adhocga/internal/island"
 	"adhocga/internal/runner"
 )
 
-// JobSpec describes one workload to Submit to a Session. The concrete spec
-// types cover every long-running entry point of the facade: EvolveSpec,
-// IslandsSpec, CaseSpec, ScenariosSpec, SweepSpec, MixSpec, and IPDRPSpec.
-// The set is closed (the run method is unexported): the Session owns
-// scheduling, event emission, and cancellation for all of them.
+// JobSpec describes one workload to Submit to a Session. There are two
+// kinds: ScenariosSpec (a batch of declarative scenarios) and
+// LeagueJobSpec (a round-robin over archived champions). The set is
+// closed (the run method is unexported): the Session owns scheduling,
+// event emission, and cancellation for both.
 type JobSpec interface {
 	// Kind returns the spec's job-kind tag, carried in the Job handle and
 	// the adhocd service's responses.
@@ -30,14 +27,10 @@ type JobSpec interface {
 	run(ctx context.Context, s *Session, emit func(Event)) (any, error)
 }
 
-// runPooled executes fn on one shared session pool slot, so engine-level
-// jobs (a single serial engine, an island engine, a mix, an IPDRP run)
-// count against the same capacity their batch siblings' replicates do —
-// flooding a session with Submit calls cannot run more engines at once
-// than the pool has slots. The island engine's per-generation evaluation
-// workers inside that slot are the one documented exception (transient,
-// wall-clock-only oversubscription — same tradeoff as island replicates
-// in a batch). fn's partial result and original error are preserved on
+// runPooled executes fn on one shared session pool slot, so a league
+// counts against the same capacity a batch's replicates do — flooding a
+// session with Submit calls cannot run more leagues at once than the pool
+// has slots. fn's partial result and original error are preserved on
 // cancellation.
 func runPooled(ctx context.Context, s *Session, fn func() (any, error)) (any, error) {
 	var res any
@@ -98,9 +91,9 @@ func checkpointEvent(scen, rep int, seed uint64, cp core.Checkpoint) Event {
 
 // eventOptions returns a copy of opts with the session's pool and seed
 // policy installed and the observation hooks chained into event emission
-// (user-supplied hooks, if any, still fire first). Every batch spec's run
+// (user-supplied hooks, if any, still fire first). Every scenario batch
 // goes through here, so WithDefaultSeed applies uniformly whether the job
-// arrives via Submit, a Session convenience method, or the HTTP service.
+// arrives via Submit or the HTTP service.
 func eventOptions(opts RunOptions, s *Session, emit func(Event)) RunOptions {
 	if opts.Pool == nil {
 		opts.Pool = s.pool
@@ -146,118 +139,11 @@ func eventOptions(opts RunOptions, s *Session, emit func(Event)) RunOptions {
 	return opts
 }
 
-// EvolveSpec runs one serial evolutionary experiment (the Evolve entry
-// point). Result type: *EvolutionResult — partial on cancellation.
-// Events: KindGeneration per generation, KindChurn at dynamics barriers.
-type EvolveSpec struct {
-	Config EvolutionConfig
-}
-
-// Kind returns "evolve".
-func (EvolveSpec) Kind() string { return "evolve" }
-
-func (sp EvolveSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	userGen := cfg.OnGeneration
-	cfg.OnGeneration = func(gs GenerationStats) {
-		if userGen != nil {
-			userGen(gs)
-		}
-		emit(generationEvent(0, 0, gs))
-	}
-	userChurn := cfg.OnChurn
-	cfg.OnChurn = func(gen int) {
-		if userChurn != nil {
-			userChurn(gen)
-		}
-		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}})
-	}
-	userCp := cfg.OnCheckpoint
-	cfg.OnCheckpoint = func(cp core.Checkpoint) {
-		if userCp != nil {
-			userCp(cp)
-		}
-		emit(checkpointEvent(0, 0, cfg.Seed, cp))
-	}
-	return runPooled(ctx, s, func() (any, error) {
-		engine, err := s.acquireEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.RunContext(ctx)
-		// Park the engine for the next submission even after cancellation:
-		// Reinit resets it completely. The result shares nothing with the
-		// engine's arena (series are per-run, snapshots deep-copied).
-		s.releaseEngine(engine)
-		return res, err
-	})
-}
-
-// IslandsSpec runs one island-model evolutionary experiment (the
-// EvolveIslands entry point). Result type: *IslandResult — partial on
-// cancellation. Events: KindIslands per generation, KindChurn at dynamics
-// barriers.
-type IslandsSpec struct {
-	Config IslandConfig
-}
-
-// Kind returns "islands".
-func (IslandsSpec) Kind() string { return "islands" }
-
-func (sp IslandsSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	userGen := cfg.OnGeneration
-	cfg.OnGeneration = func(gs IslandGenerationStats) {
-		if userGen != nil {
-			userGen(gs)
-		}
-		emit(islandsEvent(0, 0, gs))
-	}
-	userChurn := cfg.Core.OnChurn
-	cfg.Core.OnChurn = func(gen int) {
-		if userChurn != nil {
-			userChurn(gen)
-		}
-		emit(Event{Kind: KindChurn, Churn: &ChurnEvent{Gen: gen}})
-	}
-	userCp := cfg.OnCheckpoint
-	cfg.OnCheckpoint = func(cp core.Checkpoint) {
-		if userCp != nil {
-			userCp(cp)
-		}
-		emit(checkpointEvent(0, 0, cfg.Core.Seed, cp))
-	}
-	return runPooled(ctx, s, func() (any, error) {
-		engine, err := island.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return engine.RunContext(ctx)
-	})
-}
-
-// CaseSpec reproduces one Table 4 evaluation case at a scale (the RunCase
-// entry point). A zero Scale falls back to the session default. Result
-// type: *CaseResult. Events: KindGeneration per replicate generation,
-// KindReplicate per finished replicate.
-type CaseSpec struct {
-	Case  Case
-	Scale Scale
-	Opts  RunOptions
-}
-
-// Kind returns "case".
-func (CaseSpec) Kind() string { return "case" }
-
-func (sp CaseSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	return experiment.RunCaseContext(ctx, sp.Case, s.scaleOr(sp.Scale), eventOptions(sp.Opts, s, emit))
-}
-
-// ScenariosSpec runs a batch of declarative scenarios (the RunScenarios
-// entry point). Zero Defaults falls back to the session default scale.
-// Result type: []*CaseResult, in input order. Events: KindGeneration /
-// KindIslands per replicate generation, KindChurn at dynamics barriers,
-// KindReplicate per finished replicate.
+// ScenariosSpec runs a batch of declarative scenarios. Zero Defaults
+// falls back to the session default scale. Result type: []*CaseResult, in
+// input order. Events: KindGeneration / KindIslands per replicate
+// generation, KindChurn at dynamics barriers, KindCheckpoint at champion
+// checkpoints, KindReplicate per finished replicate.
 type ScenariosSpec struct {
 	Runs     []ScenarioRun
 	Defaults Scale
@@ -272,71 +158,4 @@ func (sp ScenariosSpec) run(ctx context.Context, s *Session, emit func(Event)) (
 		return nil, fmt.Errorf("adhocga: scenarios job has no scenarios")
 	}
 	return experiment.RunScenariosContext(ctx, sp.Runs, s.scaleOr(sp.Defaults), eventOptions(sp.Opts, s, emit))
-}
-
-// SweepSpec traces evolved cooperation against the CSN count (the
-// CSNSweep entry point). Result type: []SweepPoint. Events: like
-// CaseSpec, with Scenario indexing the sweep point.
-type SweepSpec struct {
-	CSNCounts []int
-	Mode      PathMode
-	Scale     Scale
-	Opts      RunOptions
-}
-
-// Kind returns "sweep".
-func (SweepSpec) Kind() string { return "sweep" }
-
-func (sp SweepSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	return experiment.CSNSweepContext(ctx, sp.CSNCounts, sp.Mode, s.scaleOr(sp.Scale), eventOptions(sp.Opts, s, emit))
-}
-
-// MixSpec plays one fixed-population baseline tournament (the RunMix
-// entry point). Result type: *MixResult. A mix is a single bounded
-// tournament, far below generation granularity, so it runs to completion
-// once started; cancellation only prevents a queued mix from starting.
-// Events: the terminal KindDone only.
-type MixSpec struct {
-	Config MixConfig
-}
-
-// Kind returns "mix".
-func (MixSpec) Kind() string { return "mix" }
-
-func (sp MixSpec) run(ctx context.Context, s *Session, _ func(Event)) (any, error) {
-	return runPooled(ctx, s, func() (any, error) {
-		return baselines.RunMix(sp.Config)
-	})
-}
-
-// IPDRPSpec evolves the IPDRP substrate (the RunIPDRP entry point).
-// Result type: *IPDRPResult — partial on cancellation. Events:
-// KindGeneration per generation (fitness moments from the GA population;
-// MeanEnvCoop mirrors Coop, IPDRP having a single environment).
-type IPDRPSpec struct {
-	Config IPDRPConfig
-}
-
-// Kind returns "ipdrp".
-func (IPDRPSpec) Kind() string { return "ipdrp" }
-
-func (sp IPDRPSpec) run(ctx context.Context, s *Session, emit func(Event)) (any, error) {
-	cfg := sp.Config
-	userGen := cfg.OnGeneration
-	cfg.OnGeneration = func(gen int, coopRate float64, stats ga.PopulationStats) {
-		if userGen != nil {
-			userGen(gen, coopRate, stats)
-		}
-		emit(Event{Kind: KindGeneration, Generation: &GenerationEvent{
-			Gen:         gen,
-			Coop:        coopRate,
-			MeanEnvCoop: coopRate,
-			BestFit:     stats.BestFitness,
-			MeanFit:     stats.MeanFitness,
-			Diversity:   stats.Diversity,
-		}})
-	}
-	return runPooled(ctx, s, func() (any, error) {
-		return ipdrp.RunContext(ctx, cfg)
-	})
 }

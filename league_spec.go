@@ -15,8 +15,7 @@ import (
 //
 // The session must have a champion archive attached
 // (WithChampionArchive); champions get into it by running jobs with
-// checkpoints enabled (scenario "checkpoints" field, or engine
-// CheckpointInterval).
+// checkpoints enabled (the scenario "checkpoints" field).
 type LeagueJobSpec struct {
 	// ChampionIDs selects archived champions by ID; empty seats the whole
 	// archive sorted by ID (a stable order independent of archival order).
@@ -88,12 +87,4 @@ func (sp LeagueJobSpec) run(ctx context.Context, s *Session, _ func(Event)) (any
 	return runPooled(ctx, s, func() (any, error) {
 		return league.RunContext(ctx, cfg)
 	})
-}
-
-// RunLeague runs a coevolution league on the session and waits for the
-// table.
-func (s *Session) RunLeague(ctx context.Context, spec LeagueJobSpec) (*LeagueTable, error) {
-	res, err := s.submitAndWait(ctx, spec)
-	out, _ := res.(*LeagueTable)
-	return out, err
 }

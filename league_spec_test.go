@@ -8,15 +8,28 @@ import (
 	"testing"
 )
 
+// checkpointedJob is a tiny evolve scenario that checkpoints a champion
+// every 2 generations.
+func checkpointedJob() ScenariosSpec {
+	job := smallJob(6, 11)
+	job.Runs[0].Spec.Checkpoints = 2
+	return job
+}
+
+// runLeague submits a league job and waits for its table.
+func runLeague(s *Session, spec LeagueJobSpec) (*LeagueTable, error) {
+	res, err := submitWait(s, spec)
+	table, _ := res.(*LeagueTable)
+	return table, err
+}
+
 // harvestSession runs a tiny checkpointed evolve job on a session wired
 // to a fresh in-memory archive and returns both.
 func harvestSession(t *testing.T) (*Session, *ChampionArchive) {
 	t.Helper()
 	arch := NewChampionArchive()
 	s := NewSession(WithPoolSize(2), WithChampionArchive(arch))
-	cfg := smallConfig(6, 11)
-	cfg.CheckpointInterval = 2
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: cfg})
+	j, err := s.Submit(context.Background(), checkpointedJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +46,7 @@ func TestCheckpointEventsArchiveChampions(t *testing.T) {
 	arch := NewChampionArchive()
 	s := NewSession(WithPoolSize(2), WithChampionArchive(arch))
 	defer s.Close()
-	cfg := smallConfig(6, 11)
-	cfg.CheckpointInterval = 2
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: cfg})
+	j, err := s.Submit(context.Background(), checkpointedJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +95,7 @@ func TestRunLeagueOverHarvestedChampions(t *testing.T) {
 		Rounds:           10,
 		Seed:             7,
 	}
-	table, err := s.RunLeague(context.Background(), spec)
+	table, err := runLeague(s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestRunLeagueOverHarvestedChampions(t *testing.T) {
 		t.Fatalf("standings have %d champions / %d baselines, want %d / 3", champs, baselines, arch.Len())
 	}
 
-	again, err := s.RunLeague(context.Background(), spec)
+	again, err := runLeague(s, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,7 @@ func TestRunLeagueChampionSelection(t *testing.T) {
 	if len(all) < 2 {
 		t.Fatalf("need ≥2 champions, have %d", len(all))
 	}
-	table, err := s.RunLeague(context.Background(), LeagueJobSpec{
+	table, err := runLeague(s, LeagueJobSpec{
 		ChampionIDs:    []string{all[0].ID, all[1].ID},
 		PerSide:        2,
 		MatchesPerPair: 1,
@@ -144,12 +155,12 @@ func TestRunLeagueChampionSelection(t *testing.T) {
 		}
 	}
 
-	if _, err := s.RunLeague(context.Background(), LeagueJobSpec{
+	if _, err := runLeague(s, LeagueJobSpec{
 		ChampionIDs: []string{"no/such/champion"}, IncludeBaselines: true,
 	}); err == nil {
 		t.Fatal("league accepted unknown champion ID")
 	}
-	if _, err := s.RunLeague(context.Background(), LeagueJobSpec{
+	if _, err := runLeague(s, LeagueJobSpec{
 		IncludeBaselines: true, PathMode: "XP",
 	}); err == nil {
 		t.Fatal("league accepted unknown path mode")
@@ -162,7 +173,7 @@ func TestRunLeagueWithoutArchive(t *testing.T) {
 	if s.Champions() != nil {
 		t.Fatal("session without WithChampionArchive reports an archive")
 	}
-	if _, err := s.RunLeague(context.Background(), LeagueJobSpec{IncludeBaselines: true}); err == nil {
+	if _, err := runLeague(s, LeagueJobSpec{IncludeBaselines: true}); err == nil {
 		t.Fatal("league ran without a champion archive")
 	}
 }

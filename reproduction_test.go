@@ -6,6 +6,7 @@ package adhocga
 // before any benchmark is read.
 
 import (
+	"context"
 	"testing"
 
 	"adhocga/internal/experiment"
@@ -20,7 +21,7 @@ func repro(t *testing.T, id int, seed uint64) *experiment.CaseResult {
 		t.Fatal(err)
 	}
 	sc := experiment.Scale{Name: "repro", Generations: 25, Rounds: 300, Repetitions: 2}
-	res, err := experiment.RunCase(c, sc, experiment.Options{Seed: seed})
+	res, err := experiment.RunCaseContext(context.Background(), c, sc, experiment.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"adhocga/internal/core"
 	"adhocga/internal/league"
 	"adhocga/internal/runner"
 )
@@ -21,7 +20,7 @@ import (
 // JobSpecs via Submit and observed through their Job handles: a unified
 // event stream, Wait, and cooperative cancellation checked at generation
 // barriers (so determinism and golden bit-identity are untouched for
-// uncancelled runs — a job's numbers are exactly the legacy facade's).
+// uncancelled runs — a job's numbers are exactly the engines' own).
 //
 // A Session is safe for concurrent use. Close cancels everything still
 // running and waits for it to stop; a closed session rejects new
@@ -47,16 +46,6 @@ type Session struct {
 	retired   StreamTotals // stream counters of jobs pruned from the map
 	closed    bool
 	wg        sync.WaitGroup
-
-	// Engine arena: finished evolve jobs park their engine here and later
-	// submissions reinitialize it in place (core.Engine.Reinit), so a
-	// session's steady state reuses one working set — population, dense
-	// reputation stores, evaluation scratch — per concurrent job instead
-	// of rebuilding ~1 MB of structure per Submit. Bounded by the pool
-	// size; reuse is bit-invisible (Reinit replays New exactly).
-	engMu        sync.Mutex
-	engines      []*core.Engine
-	engineReuses int
 }
 
 // SessionOption configures NewSession.
@@ -127,11 +116,10 @@ func WithLogger(l *slog.Logger) SessionOption {
 }
 
 // WithChampionArchive attaches a hall-of-fame archive: every champion
-// checkpoint any job emits (scenarios with "checkpoints" set, or engine
-// configs with CheckpointInterval > 0) is recorded into it. Archiving is
-// a pure observer of the event stream — results and event bytes are
-// identical with or without it; Put failures are logged, never fatal to
-// the job.
+// checkpoint any job emits (scenarios with "checkpoints" set) is recorded
+// into it. Archiving is a pure observer of the event stream — results and
+// event bytes are identical with or without it; Put failures are logged,
+// never fatal to the job.
 func WithChampionArchive(a *league.Archive) SessionOption {
 	return func(s *Session) { s.champions = a }
 }
@@ -288,13 +276,8 @@ func (s *Session) archiveCheckpoint(jobID string, spec JobSpec, cp *CheckpointEv
 // checkpointScenarioName resolves the scenario label a checkpoint's
 // Scenario index refers to within the emitting spec.
 func checkpointScenarioName(spec JobSpec, idx int) string {
-	switch sp := spec.(type) {
-	case ScenariosSpec:
-		if idx >= 0 && idx < len(sp.Runs) {
-			return sp.Runs[idx].Spec.Name
-		}
-	case CaseSpec:
-		return sp.Case.Name
+	if sp, ok := spec.(ScenariosSpec); ok && idx >= 0 && idx < len(sp.Runs) {
+		return sp.Runs[idx].Spec.Name
 	}
 	return spec.Kind()
 }
@@ -353,8 +336,6 @@ type SessionStats struct {
 	Queued, Running, Done, Failed, Cancelled int
 	// Retained is the number of reachable jobs (the sum of the above).
 	Retained int
-	// EngineReuses counts jobs that ran on a recycled engine arena.
-	EngineReuses int
 	// PoolSize and PoolBusy are the shared execution pool's slot count
 	// and a point-in-time sample of slots currently held.
 	PoolSize, PoolBusy int
@@ -382,7 +363,6 @@ func (s *Session) Stats() SessionStats {
 		}
 	}
 	s.mu.Unlock()
-	st.EngineReuses = s.EngineReuses()
 	st.PoolSize = s.pool.Size()
 	st.PoolBusy = s.pool.InUse()
 	return st
@@ -421,55 +401,6 @@ func (s *Session) StreamTotals() StreamTotals {
 	return tot
 }
 
-// acquireEngine returns an engine initialized for cfg, reusing a parked
-// one when available. The boolean reports whether a parked engine was
-// reused (exposed for observability via EngineReuses; results are
-// identical either way).
-func (s *Session) acquireEngine(cfg core.Config) (*core.Engine, error) {
-	s.engMu.Lock()
-	var eng *core.Engine
-	if n := len(s.engines); n > 0 {
-		eng = s.engines[n-1]
-		s.engines[n-1] = nil
-		s.engines = s.engines[:n-1]
-	}
-	s.engMu.Unlock()
-	if eng != nil {
-		if err := eng.Reinit(cfg); err != nil {
-			// Invalid config: surface it exactly as core.New would, and
-			// don't re-park the half-reset engine.
-			return nil, err
-		}
-		s.engMu.Lock()
-		s.engineReuses++
-		s.engMu.Unlock()
-		return eng, nil
-	}
-	return core.New(cfg)
-}
-
-// releaseEngine parks a finished job's engine for reuse, keeping at most
-// one per pool slot.
-func (s *Session) releaseEngine(eng *core.Engine) {
-	if eng == nil {
-		return
-	}
-	s.engMu.Lock()
-	if len(s.engines) < s.pool.Size() {
-		s.engines = append(s.engines, eng)
-	}
-	s.engMu.Unlock()
-}
-
-// EngineReuses returns how many submitted jobs ran on a reused engine
-// arena instead of building a fresh one — an observability counter for
-// tests and capacity tuning.
-func (s *Session) EngineReuses() int {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	return s.engineReuses
-}
-
 // Job returns the handle of a previously submitted job by ID.
 func (s *Session) Job(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -498,101 +429,8 @@ func (s *Session) Close() {
 	s.wg.Wait()
 }
 
-// Typed convenience wrappers: submit one spec and wait for it. Each
-// returns the job's typed result; on cancellation the error wraps
-// context.Canceled and engine-level results are the documented partial
-// ones.
-
-// Evolve runs one serial evolutionary experiment on the session.
-func (s *Session) Evolve(ctx context.Context, cfg EvolutionConfig) (*EvolutionResult, error) {
-	res, err := s.submitAndWait(ctx, EvolveSpec{Config: cfg})
-	out, _ := res.(*EvolutionResult)
-	return out, err
-}
-
-// EvolveIslands runs one island-model experiment on the session.
-func (s *Session) EvolveIslands(ctx context.Context, cfg IslandConfig) (*IslandResult, error) {
-	res, err := s.submitAndWait(ctx, IslandsSpec{Config: cfg})
-	out, _ := res.(*IslandResult)
-	return out, err
-}
-
-// RunCase reproduces one Table 4 evaluation case on the session.
-func (s *Session) RunCase(ctx context.Context, c Case, sc Scale, opts RunOptions) (*CaseResult, error) {
-	res, err := s.submitAndWait(ctx, CaseSpec{Case: c, Scale: sc, Opts: opts})
-	out, _ := res.(*CaseResult)
-	return out, err
-}
-
-// RunScenarios runs a batch of declarative scenarios on the session.
-func (s *Session) RunScenarios(ctx context.Context, runs []ScenarioRun, defaults Scale, opts RunOptions) ([]*CaseResult, error) {
-	res, err := s.submitAndWait(ctx, ScenariosSpec{Runs: runs, Defaults: defaults, Opts: opts})
-	out, _ := res.([]*CaseResult)
-	return out, err
-}
-
-// CSNSweep traces evolved cooperation against the CSN count on the
-// session.
-func (s *Session) CSNSweep(ctx context.Context, csnCounts []int, mode PathMode, sc Scale, opts RunOptions) ([]SweepPoint, error) {
-	res, err := s.submitAndWait(ctx, SweepSpec{CSNCounts: csnCounts, Mode: mode, Scale: sc, Opts: opts})
-	out, _ := res.([]SweepPoint)
-	return out, err
-}
-
-// RunMix plays one fixed-population baseline tournament on the session.
-func (s *Session) RunMix(ctx context.Context, cfg MixConfig) (*MixResult, error) {
-	res, err := s.submitAndWait(ctx, MixSpec{Config: cfg})
-	out, _ := res.(*MixResult)
-	return out, err
-}
-
-// RunIPDRP evolves the IPDRP substrate on the session.
-func (s *Session) RunIPDRP(ctx context.Context, cfg IPDRPConfig) (*IPDRPResult, error) {
-	res, err := s.submitAndWait(ctx, IPDRPSpec{Config: cfg})
-	out, _ := res.(*IPDRPResult)
-	return out, err
-}
-
-func (s *Session) submitAndWait(ctx context.Context, spec JobSpec) (any, error) {
-	j, err := s.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	// Wait on the job's own completion, not ctx: when ctx fires the job
-	// stops at its next barrier and finish() delivers the partial result;
-	// abandoning the wait early would lose it.
-	if err := j.Wait(context.Background()); err != nil {
-		return j.Result(), err
-	}
-	return j.Result(), nil
-}
-
-// The default session behind the deprecated package-level wrappers: one
-// process-wide Session with all defaults, created on first use.
-var (
-	defaultSessionOnce sync.Once
-	defaultSession     *Session
-)
-
-// DefaultSession returns the process-wide Session the deprecated
-// package-level wrappers (Evolve, RunCase, RunScenarios, …) delegate to.
-// Programs that want explicit pool sizing, seed policy, job bounds, or a
-// clean shutdown should create their own with NewSession instead.
-func DefaultSession() *Session {
-	defaultSessionOnce.Do(func() {
-		defaultSession = NewSession()
-	})
-	return defaultSession
-}
-
 // compile-time interface checks for the spec set.
 var (
-	_ JobSpec = EvolveSpec{}
-	_ JobSpec = IslandsSpec{}
-	_ JobSpec = CaseSpec{}
 	_ JobSpec = ScenariosSpec{}
-	_ JobSpec = SweepSpec{}
-	_ JobSpec = MixSpec{}
-	_ JobSpec = IPDRPSpec{}
 	_ JobSpec = LeagueJobSpec{}
 )

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"adhocga/internal/core"
+	"adhocga/internal/experiment"
 )
 
 // smallConfig is a seconds-scale evolution configuration for session
@@ -20,6 +23,37 @@ func smallConfig(gens int, seed uint64) EvolutionConfig {
 	return cfg
 }
 
+// smallScenario is smallConfig as a declarative scenario: one CSN-free
+// environment, 20 strategies, 10-node tournaments of 10 rounds, one
+// replicate.
+func smallScenario(gens int) ScenarioSpec {
+	return ScenarioSpec{
+		Name:           "evolve",
+		Environments:   []ScenarioEnv{{CSN: 0}},
+		Population:     20,
+		TournamentSize: 10,
+		Rounds:         10,
+		Generations:    gens,
+		Repetitions:    1,
+	}
+}
+
+// smallJob is a seconds-scale one-scenario batch for session tests.
+func smallJob(gens int, seed uint64) ScenariosSpec {
+	return ScenariosSpec{Runs: []ScenarioRun{{Spec: smallScenario(gens), Seed: seed}}}
+}
+
+// submitWait submits spec to s and returns the job's result once it is
+// terminal.
+func submitWait(s *Session, spec JobSpec) (any, error) {
+	j, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	err = j.Wait(context.Background())
+	return j.Result(), err
+}
+
 // drain collects a job's full event stream.
 func drain(t *testing.T, j *Job) []Event {
 	t.Helper()
@@ -30,22 +64,23 @@ func drain(t *testing.T, j *Job) []Event {
 	return out
 }
 
-// TestSessionEvolveBitIdenticalToEngine pins the redesign's core
-// guarantee: a job submitted through the Session produces exactly the
-// numbers the bare engine produces.
-func TestSessionEvolveBitIdenticalToEngine(t *testing.T) {
-	direct, err := Evolve(smallConfig(4, 11)) // deprecated wrapper → default session
+// TestEvolveBitIdenticalToEngine pins that the plain Evolve function adds
+// nothing to the bare engine: same configuration, same numbers.
+func TestEvolveBitIdenticalToEngine(t *testing.T) {
+	engine, err := core.New(smallConfig(4, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(WithPoolSize(2))
-	defer s.Close()
-	viaSession, err := s.Evolve(context.Background(), smallConfig(4, 11))
+	direct, err := engine.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(direct.CoopSeries, viaSession.CoopSeries) {
-		t.Errorf("session path diverged:\nwrapper: %v\nsession: %v", direct.CoopSeries, viaSession.CoopSeries)
+	viaEvolve, err := Evolve(context.Background(), smallConfig(4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct.CoopSeries, viaEvolve.CoopSeries) {
+		t.Errorf("Evolve diverged from the engine:\nengine: %v\nEvolve: %v", direct.CoopSeries, viaEvolve.CoopSeries)
 	}
 }
 
@@ -53,7 +88,7 @@ func TestSubmitEvolveStreamsGenerationEvents(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
 	const gens = 4
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(gens, 7)})
+	j, err := s.Submit(context.Background(), smallJob(gens, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +115,7 @@ func TestSubmitEvolveStreamsGenerationEvents(t *testing.T) {
 	if err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j.Result().(*EvolutionResult); !ok {
+	if _, ok := j.Result().([]*CaseResult); !ok {
 		t.Errorf("result type %T", j.Result())
 	}
 	if j.State() != JobDone {
@@ -124,8 +159,8 @@ func TestSubmitScenariosStreamsReplicateAndGenerationEvents(t *testing.T) {
 	if !ok || len(res) != 1 {
 		t.Fatalf("result %T", j.Result())
 	}
-	// The session path must agree with the legacy facade bit for bit.
-	legacy, err := RunScenarios(runs, sc, RunOptions{Parallelism: 1})
+	// The session path must agree with the direct batch bit for bit.
+	legacy, err := experiment.RunScenariosContext(context.Background(), runs, sc, RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +172,9 @@ func TestSubmitScenariosStreamsReplicateAndGenerationEvents(t *testing.T) {
 func TestSubmitIslandsStreamsIslandEvents(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
-	cfg := IslandConfig{Core: smallConfig(3, 9), Count: 2, Interval: 2}
-	j, err := s.Submit(context.Background(), IslandsSpec{Config: cfg})
+	spec := smallScenario(3)
+	spec.Islands = &ScenarioIslands{Count: 2, Interval: 2}
+	j, err := s.Submit(context.Background(), ScenariosSpec{Runs: []ScenarioRun{{Spec: spec, Seed: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +193,7 @@ func TestSubmitIslandsStreamsIslandEvents(t *testing.T) {
 	if err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j.Result().(*IslandResult); !ok {
+	if res, ok := j.Result().([]*CaseResult); !ok || res[0].Islands == nil {
 		t.Errorf("result type %T", j.Result())
 	}
 }
@@ -165,9 +201,9 @@ func TestSubmitIslandsStreamsIslandEvents(t *testing.T) {
 func TestSubmitChurnScenarioEmitsChurnEvents(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
-	cfg := smallConfig(4, 13)
-	cfg.Dynamics = &DynamicsConfig{ChurnRate: 0.3, Interval: 2}
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: cfg})
+	spec := smallScenario(4)
+	spec.Dynamics = &ScenarioDynamics{ChurnRate: 0.3, Interval: 2}
+	j, err := s.Submit(context.Background(), ScenariosSpec{Runs: []ScenarioRun{{Spec: spec, Seed: 13}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +221,26 @@ func TestSubmitChurnScenarioEmitsChurnEvents(t *testing.T) {
 	}
 }
 
+// TestSubmitSweepMixIPDRP covers the workloads that are not job kinds of
+// their own: a CSN sweep submitted as a two-scenario batch, and the plain
+// RunMix and RunIPDRP functions.
 func TestSubmitSweepMixIPDRP(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
 	ctx := context.Background()
 
-	sweep, err := s.CSNSweep(ctx, []int{0, 5}, ShorterPaths(),
-		Scale{Name: "test", Generations: 2, Rounds: 10, Repetitions: 1}, RunOptions{Seed: 3})
+	var runs []ScenarioRun
+	for _, csn := range []int{0, 5} {
+		runs = append(runs, ScenarioRun{Spec: ScenarioSpec{Name: "sweep", Environments: []ScenarioEnv{{CSN: csn}}}})
+	}
+	res, err := submitWait(s, ScenariosSpec{Runs: runs,
+		Defaults: Scale{Name: "test", Generations: 2, Rounds: 10, Repetitions: 1}, Opts: RunOptions{Seed: 3}})
+	sweep, _ := res.([]*CaseResult)
 	if err != nil || len(sweep) != 2 {
 		t.Fatalf("sweep: %v %v", sweep, err)
 	}
 
-	mix, err := s.RunMix(ctx, MixConfig{
+	mix, err := RunMix(MixConfig{
 		Groups: []MixGroup{{Profile: ProfileAllCooperate, Count: 10}},
 		CSN:    2, Rounds: 20, Mode: ShorterPaths(), Game: DefaultGameConfig(), Seed: 4,
 	})
@@ -207,21 +251,21 @@ func TestSubmitSweepMixIPDRP(t *testing.T) {
 	icfg := DefaultIPDRPConfig(5)
 	icfg.Generations = 3
 	icfg.Rounds = 10
-	ires, err := s.RunIPDRP(ctx, icfg)
+	ires, err := RunIPDRP(ctx, icfg)
 	if err != nil || len(ires.CoopSeries) != 3 {
 		t.Fatalf("ipdrp: %v %v", ires, err)
 	}
 }
 
-// TestCancellationStopsAtGenerationBarrier pins the redesign's
-// cancellation contract: a cancelled evolve job stops at the next
-// generation barrier, turns JobCancelled, and still delivers the partial
+// TestCancellationStopsAtGenerationBarrier pins the cancellation
+// contract: a cancelled job stops at the next generation barrier and turns
+// JobCancelled, and a cancelled Evolve still delivers the partial
 // cooperation series.
 func TestCancellationStopsAtGenerationBarrier(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
 	const gens = 500 // would take minutes if cancellation failed
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(gens, 17)})
+	j, err := s.Submit(context.Background(), smallJob(gens, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +286,22 @@ func TestCancellationStopsAtGenerationBarrier(t *testing.T) {
 	if j.State() != JobCancelled {
 		t.Errorf("state %s, want cancelled", j.State())
 	}
-	res, ok := j.Result().(*EvolutionResult)
-	if !ok || res == nil {
-		t.Fatalf("no partial result: %T", j.Result())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := smallConfig(gens, 17)
+	seen = 0
+	cfg.OnGeneration = func(GenerationStats) {
+		if seen++; seen == 2 {
+			cancel()
+		}
+	}
+	res, werr := Evolve(ctx, cfg)
+	if !errors.Is(werr, context.Canceled) {
+		t.Fatalf("Evolve = %v, want context.Canceled", werr)
+	}
+	if res == nil {
+		t.Fatal("no partial result")
 	}
 	if n := len(res.CoopSeries); n < 2 || n >= gens {
 		t.Errorf("partial series has %d generations, want a few", n)
@@ -257,7 +314,7 @@ func TestCancelledJobFreesItsSlot(t *testing.T) {
 	s := NewSession(WithMaxConcurrentJobs(1))
 	defer s.Close()
 	ctx := context.Background()
-	long, err := s.Submit(ctx, EvolveSpec{Config: smallConfig(100000, 19)})
+	long, err := s.Submit(ctx, smallJob(100000, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +324,7 @@ func TestCancelledJobFreesItsSlot(t *testing.T) {
 			break
 		}
 	}
-	queued, err := s.Submit(ctx, EvolveSpec{Config: smallConfig(2, 19)})
+	queued, err := s.Submit(ctx, smallJob(2, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +346,11 @@ func TestCancelWhileQueued(t *testing.T) {
 	s := NewSession(WithMaxConcurrentJobs(1))
 	defer s.Close()
 	ctx := context.Background()
-	long, err := s.Submit(ctx, EvolveSpec{Config: smallConfig(100000, 23)})
+	long, err := s.Submit(ctx, smallJob(100000, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(ctx, EvolveSpec{Config: smallConfig(2, 23)})
+	queued, err := s.Submit(ctx, smallJob(2, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +367,7 @@ func TestCancelWhileQueued(t *testing.T) {
 
 func TestSessionCloseRejectsAndCancels(t *testing.T) {
 	s := NewSession()
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(100000, 29)})
+	j, err := s.Submit(context.Background(), smallJob(100000, 29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +375,7 @@ func TestSessionCloseRejectsAndCancels(t *testing.T) {
 	if !j.State().Terminal() {
 		t.Errorf("job state %s after Close", j.State())
 	}
-	if _, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(2, 29)}); err == nil {
+	if _, err := s.Submit(context.Background(), smallJob(2, 29)); err == nil {
 		t.Error("closed session accepted a job")
 	}
 }
@@ -326,7 +383,7 @@ func TestSessionCloseRejectsAndCancels(t *testing.T) {
 func TestEventsReplayAfterCompletion(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(3, 31)})
+	j, err := s.Submit(context.Background(), smallJob(3, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +406,9 @@ func TestEventsReplayAfterCompletion(t *testing.T) {
 func TestJobFailureState(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
-	bad := smallConfig(2, 1)
-	bad.PopulationSize = 1 // invalid
-	j, err := s.Submit(context.Background(), EvolveSpec{Config: bad})
+	bad := smallJob(2, 1)
+	bad.Runs[0].Spec.Population = 1 // invalid
+	j, err := s.Submit(context.Background(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +428,8 @@ func TestJobFailureState(t *testing.T) {
 func TestSessionLookupAndIDs(t *testing.T) {
 	s := NewSession()
 	defer s.Close()
-	j1, _ := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(1, 1)})
-	j2, _ := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(1, 2)})
+	j1, _ := s.Submit(context.Background(), smallJob(1, 1))
+	j2, _ := s.Submit(context.Background(), smallJob(1, 2))
 	if j1.ID() != "job-1" || j2.ID() != "job-2" {
 		t.Errorf("ids %s %s", j1.ID(), j2.ID())
 	}
@@ -387,8 +444,8 @@ func TestSessionLookupAndIDs(t *testing.T) {
 }
 
 // TestDefaultSeedAppliesOnSubmitPath pins the seed policy: a batch spec
-// submitted directly (the adhocd path) uses the session's WithDefaultSeed
-// exactly like one run through the convenience wrapper.
+// submitted without a seed (the adhocd path) uses the session's
+// WithDefaultSeed exactly like one that sets it explicitly.
 func TestDefaultSeedAppliesOnSubmitPath(t *testing.T) {
 	fam, err := ScenarioFamilyByName("table4")
 	if err != nil {
@@ -410,10 +467,11 @@ func TestDefaultSeedAppliesOnSubmitPath(t *testing.T) {
 
 	plain := NewSession()
 	defer plain.Close()
-	explicit, err := plain.RunScenarios(context.Background(), runs, sc, RunOptions{Seed: 99, Parallelism: 1})
+	res, err := submitWait(plain, ScenariosSpec{Runs: runs, Defaults: sc, Opts: RunOptions{Seed: 99, Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	explicit := res.([]*CaseResult)
 	if !reflect.DeepEqual(viaSubmit[0].CoopMean, explicit[0].CoopMean) {
 		t.Error("Submit path ignored the session's default seed")
 	}
@@ -427,7 +485,7 @@ func TestJobRetentionEvictsOldTerminalJobs(t *testing.T) {
 	defer s.Close()
 	var jobs []*Job
 	for i := 0; i < 5; i++ {
-		j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(1, uint64(40+i))})
+		j, err := s.Submit(context.Background(), smallJob(1, uint64(40+i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +513,7 @@ func TestEventJSONDeterministic(t *testing.T) {
 	s := NewSession(WithPoolSize(1))
 	defer s.Close()
 	run := func() string {
-		j, err := s.Submit(context.Background(), EvolveSpec{Config: smallConfig(2, 37)})
+		j, err := s.Submit(context.Background(), smallJob(2, 37))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,21 +17,15 @@ import (
 
 const loadSubscribers = 5000
 
-// loadEvolveConfig is a cheap-but-real GA workload: a couple of seconds
-// of generations on one core, emitting one event per generation.
-func loadEvolveConfig(seed uint64) EvolutionConfig {
-	cfg := DefaultEvolutionConfig(PaperEnvironments()[:1], ShorterPaths(), seed)
-	cfg.PopulationSize = 20
-	cfg.Eval.TournamentSize = 10
-	cfg.Eval.Tournament.Rounds = 10
-	cfg.Generations = 3000
-	return cfg
-}
+// loadGenerations makes smallJob a cheap-but-real GA workload: a couple
+// of seconds of generations on one core, emitting one event per
+// generation.
+const loadGenerations = 3000
 
 func runEvolveWall(t *testing.T, s *Session, attach func(*Job)) time.Duration {
 	t.Helper()
 	start := time.Now()
-	job, err := s.Submit(context.Background(), EvolveSpec{Config: loadEvolveConfig(11)})
+	job, err := s.Submit(context.Background(), smallJob(loadGenerations, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func TestStreamLoadThousandsOfSubscribers(t *testing.T) {
 	s := NewSession(WithPoolSize(1))
 	defer s.Close()
 
-	// Warm the engine pool, then time the identical workload bare.
+	// Warm up, then time the identical workload bare.
 	runEvolveWall(t, s, nil)
 	bare := runEvolveWall(t, s, nil)
 
