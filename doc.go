@@ -56,9 +56,9 @@
 //
 // The simulation core is dense and allocation-free in steady state:
 // NodeIDs are dense integers (enforced by tournament.BuildRegistry), so
-// reputation memory is a flat NodeID-indexed slice with cached forwarding
-// rates and Fig 1b trust levels maintained lazily on counter change, path
-// rating consumes the store's dense []float64 rate view, and the game and
+// reputation memory is a flat NodeID-indexed slice of two counters per
+// peer, forwarding rates and Fig 1b trust levels are computed from those
+// counters when a decision or a path rating reads them, and the game and
 // tournament loops reuse scratch buffers instead of allocating — with
 // results bit-identical to the original map-based implementation (golden
 // tests pin the exact float bits). See DESIGN.md for the density

@@ -153,7 +153,6 @@ func RunMix(cfg MixConfig) (*MixResult, error) {
 	registry := tournament.BuildRegistry(players, csn)
 	for _, p := range all {
 		p.Rep.EnsureSize(len(registry))
-		p.Rep.SetTable(cfg.Game.TrustTable)
 	}
 
 	gossipWeight := cfg.GossipWeight

@@ -355,13 +355,10 @@ func (e *Engine) Reinit(cfg Config) error {
 		}
 	}
 	e.registry = tournament.BuildRegistry(e.normals, e.csn, e.byz)
-	// Pre-size every dense reputation store to the registry and install
-	// the configured trust table, so the generational loop never grows a
-	// store or recomputes cached levels mid-run.
-	table := cfg.Eval.Tournament.Game.TrustTable
+	// Pre-size every dense reputation store to the registry, so the
+	// generational loop never grows a store mid-run.
 	for _, p := range e.registry {
 		p.Rep.EnsureSize(len(e.registry))
-		p.Rep.SetTable(table)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"adhocga/internal/ga"
 	"adhocga/internal/game"
+	"adhocga/internal/metrics"
 	"adhocga/internal/network"
 	"adhocga/internal/strategy"
 	"adhocga/internal/tournament"
@@ -274,19 +275,34 @@ func TestStrategiesAccessor(t *testing.T) {
 	}
 }
 
+// BenchmarkGeneration times one warm paper-sized generation (evaluation
+// pass plus reproduction) on an engine warmed the way
+// TestWarmGenerationZeroAllocs warms it, so result setup stays out of the
+// timed loop and allocs/op reports the steady state.
 func BenchmarkGeneration(b *testing.B) {
 	envs := tournament.PaperEnvironments()
 	cfg := PaperConfig(envs, network.ShorterPaths(), 1)
-	cfg.Generations = 1
 	cfg.Eval.Tournament.Rounds = 10
 	e, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
+	collector := metrics.NewCollector()
+	generation := func() {
+		if err := e.EvaluateGeneration(collector); err != nil {
 			b.Fatal(err)
 		}
+		if err := e.Reproduce(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Two warm-up generations grow both reproduction arena buffers and
+	// the collector's per-environment storage.
+	generation()
+	generation()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		generation()
 	}
 }

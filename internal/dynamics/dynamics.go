@@ -12,7 +12,7 @@
 //     genomes under fresh node identities. Identity turnover exercises the
 //     dense storage layer in place — new NodeIDs extend the registry until
 //     a bounded headroom is reached (trust.Store.EnsureSize resizes every
-//     dense store and rate view), after which departed IDs are recycled
+//     dense store), after which departed IDs are recycled
 //     FIFO (trust.Store.Forget remaps the recycled slot without
 //     reallocation). Link rewiring under mobility is modeled as a seeded
 //     random walk of the route-length landscape between the paper's SP and
@@ -321,12 +321,11 @@ func (m *Model) Churn(pop []ga.Individual, players []*game.Player, registry *[]*
 	}
 	m.touched = touched
 	// In-place remap, one pass over the registry: every live dense store
-	// (and its rate view) drops whatever it knew under any touched
-	// identity. The generational evaluation happens to reset all stores
-	// anyway, but that is the evaluation scheme's policy, not this
-	// layer's: the churn contract is that a replaced identity carries no
-	// stale trust the moment the barrier completes, whatever the caller
-	// runs next.
+	// drops whatever it knew under any touched identity. The generational
+	// evaluation happens to reset all stores anyway, but that is the
+	// evaluation scheme's policy, not this layer's: the churn contract is
+	// that a replaced identity carries no stale trust the moment the
+	// barrier completes, whatever the caller runs next.
 	for _, q := range *registry {
 		if q == nil {
 			continue

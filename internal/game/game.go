@@ -155,20 +155,7 @@ type Config struct {
 	// a network with no reputation system, where selfishness goes
 	// unnoticed. Ablation use only.
 	BlindDecisions bool
-
-	// tablesSynced promises that every player deciding under this config
-	// already has TrustTable installed in its store, letting Decide skip
-	// its per-decision table compare. Only a driver that syncs all
-	// participants itself (tournament.PlayWith does, once per tournament)
-	// may set it, via MarkTablesSynced.
-	tablesSynced bool
 }
-
-// MarkTablesSynced records that the caller has installed cfg.TrustTable
-// into the reputation store of every player that will decide under this
-// config, so per-decision re-sync checks can be skipped. Callers that
-// cannot guarantee this for the config's whole lifetime must not call it.
-func (c *Config) MarkTablesSynced() { c.tablesSynced = true }
 
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
@@ -263,19 +250,14 @@ func (p *Player) ResetForGeneration() {
 // table. Unknown sources are decided by strategy bit 12 and priced at
 // cfg.UnknownTrust.
 //
-// The trust level comes from the store's cache (maintained on every
-// observation), so a decision is a single dense lookup: no map probes, no
-// rate division. The store's table is re-synced from cfg when it differs —
-// a three-float compare in the common case — so custom-table configs stay
-// correct without explicit wiring.
+// The trust level is cfg.TrustTable applied to the source's forwarding
+// rate, computed from the store's counters in a single dense lookup; the
+// store holds no table of its own, so any table applies without wiring.
 func (p *Player) Decide(src network.NodeID, cfg *Config) (strategy.Decision, strategy.TrustLevel) {
 	if cfg.BlindDecisions {
 		return p.Strategy.DecideUnknown(), cfg.UnknownTrust
 	}
-	if !cfg.tablesSynced && cfg.TrustTable != p.Rep.TrustTable() {
-		p.Rep.SetTable(cfg.TrustTable)
-	}
-	tl, act, known := p.Rep.Evaluate(src, cfg.ActivityBand)
+	tl, act, known := p.Rep.Evaluate(src, cfg.TrustTable, cfg.ActivityBand)
 	if !known {
 		return p.Strategy.DecideUnknown(), cfg.UnknownTrust
 	}

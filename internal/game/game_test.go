@@ -7,6 +7,7 @@ import (
 	"adhocga/internal/network"
 	"adhocga/internal/rng"
 	"adhocga/internal/strategy"
+	"adhocga/internal/trust"
 )
 
 func defaultCfg() *Config {
@@ -273,6 +274,54 @@ func TestDecideUsesTrustAndActivity(t *testing.T) {
 	dec, tl = p.Decide(6, cfg)
 	if dec != strategy.Discard || tl != strategy.Trust0 {
 		t.Errorf("untrusted source: %v at %v", dec, tl)
+	}
+}
+
+// TestDecideWithNonDefaultTrustTable decides under a custom Fig 1b table
+// on stores that were never told about it: every decision's trust level
+// must be cfg.TrustTable applied to the source's rate, including at the
+// exact threshold rates, and a store shared between configs must follow
+// whichever table the deciding config carries.
+func TestDecideWithNonDefaultTrustTable(t *testing.T) {
+	custom := defaultCfg()
+	custom.TrustTable = trust.Table{Thresholds: [3]float64{0.95, 0.7, 0.4}}
+	if err := custom.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	def := defaultCfg()
+	p := NewNormal(30, strategy.ForwardAtOrAbove(strategy.Trust2, strategy.Discard))
+	// Source k forwarded k of 20 requests: rates 0.05..1.0 in steps of
+	// 0.05, which include all three custom thresholds exactly.
+	for k := 1; k <= 20; k++ {
+		for i := 0; i < 20; i++ {
+			p.Rep.Observe(network.NodeID(k), i < k)
+		}
+	}
+	differs := 0
+	for k := 1; k <= 20; k++ {
+		src := network.NodeID(k)
+		for _, cfg := range []*Config{custom, def, custom} {
+			want, known := cfg.TrustTable.LevelOf(p.Rep, src)
+			if !known {
+				t.Fatalf("source %d unknown", k)
+			}
+			act, _ := trust.ActivityOf(p.Rep, src, cfg.ActivityBand)
+			dec, tl := p.Decide(src, cfg)
+			if tl != want {
+				t.Errorf("source %d (rate %d/20): level %v, table says %v", k, k, tl, want)
+			}
+			if wantDec := p.Strategy.Decide(want, act); dec != wantDec {
+				t.Errorf("source %d: decision %v, want %v", k, dec, wantDec)
+			}
+		}
+		c, _ := custom.TrustTable.LevelOf(p.Rep, src)
+		d, _ := def.TrustTable.LevelOf(p.Rep, src)
+		if c != d {
+			differs++
+		}
+	}
+	if differs == 0 {
+		t.Fatal("custom table never disagrees with the default; the test proves nothing")
 	}
 }
 

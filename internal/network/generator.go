@@ -203,10 +203,10 @@ func skip2(v, p1, p2 int) int {
 const UnknownRate = 0.5
 
 // RatePath computes the §3.1 path rating: the product of the forwarding
-// rates of all intermediates as known to the rater. rates is the rater's
-// dense NodeID-indexed rate view (trust.Store.PathRates): known nodes hold
-// their pf/ps, unknown ones UnknownRate; IDs at or beyond len(rates) count
-// as unknown.
+// rates of all intermediates as known to the rater. rates is a dense
+// NodeID-indexed rate view: known nodes hold their pf/ps, unknown ones
+// UnknownRate; IDs at or beyond len(rates) count as unknown.
+// trust.Store.RatePaths computes the same product from its counters.
 func RatePath(p Path, rates []float64) float64 {
 	rating := 1.0
 	for _, id := range p.Intermediates {

@@ -25,13 +25,17 @@ func benchPopulation(seed uint64) (normals, csn, registry []*game.Player) {
 }
 
 func benchEvalConfig(rounds int) *EvalConfig {
+	return benchEvalConfigMode(rounds, network.ShorterPaths())
+}
+
+func benchEvalConfigMode(rounds int, mode network.PathMode) *EvalConfig {
 	return &EvalConfig{
 		TournamentSize: 50,
 		PlaysPerEnv:    2,
 		Environments:   PaperEnvironments(),
 		Tournament: Config{
 			Rounds: rounds,
-			Mode:   network.ShorterPaths(),
+			Mode:   mode,
 			Game:   game.DefaultConfig(),
 		},
 	}
@@ -78,8 +82,19 @@ func TestTournamentRoundZeroAllocs(t *testing.T) {
 // it. The dense-store acceptance bar is ≥2× ns/game over the map-based
 // seed with ~0 allocs/game.
 func BenchmarkEvaluate(b *testing.B) {
+	benchmarkEvaluate(b, network.ShorterPaths())
+}
+
+// BenchmarkEvaluateLP is BenchmarkEvaluate under the LP path mode of
+// Table 4 case 4, where longer routes shift the cost toward route
+// generation and path rating.
+func BenchmarkEvaluateLP(b *testing.B) {
+	benchmarkEvaluate(b, network.LongerPaths())
+}
+
+func benchmarkEvaluate(b *testing.B, mode network.PathMode) {
 	normals, csn, registry := benchPopulation(1)
-	cfg := benchEvalConfig(30)
+	cfg := benchEvalConfigMode(30, mode)
 	gen := network.NewGenerator(cfg.Tournament.Mode)
 
 	// Count games once so ns/game can be derived from the timed loop; this

@@ -141,13 +141,9 @@ func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config,
 	for _, p := range participants {
 		ids = append(ids, p.ID)
 		// Dense stores sized to the registry: every peer lookup from here
-		// on is a bounds-checked index and Observe never grows. Installing
-		// the trust table here (a no-op when unchanged) lets every Decide
-		// of the tournament skip its per-decision table compare.
+		// on is a bounds-checked index and Observe never grows.
 		p.Rep.EnsureSize(len(registry))
-		p.Rep.SetTable(cfg.Game.TrustTable)
 	}
-	cfg.Game.MarkTablesSynced()
 	sc.ids = ids
 	ro, _ := rec.(RoundObserver)
 	for round := 0; round < cfg.Rounds; round++ {
@@ -168,11 +164,10 @@ func PlayWith(participants []*game.Player, registry []*game.Player, cfg *Config,
 			} else if len(paths) > 1 {
 				// A single candidate needs no rating (selection would
 				// return 0 without consuming randomness), which skips the
-				// rate refresh for the majority of games — Table 3 yields
-				// one route 50–80% of the time. Multi-candidate games
-				// rate in one fused walk that refreshes only the entries
-				// the ratings read (RatePaths) instead of flushing the
-				// whole store.
+				// rate divisions for the majority of games — Table 3
+				// yields one route 50–80% of the time. Multi-candidate
+				// games rate every path in one walk over the source's
+				// counters (RatePaths).
 				sc.ratings = src.Rep.RatePaths(paths, sc.ratings)
 				best = network.SelectBestRated(r, sc.ratings)
 			}

@@ -58,8 +58,6 @@ func (s *Store) merge(self network.NodeID, src *Store, minRate, weight float64, 
 		if invert {
 			forwards = uint64(rec.requests) - forwards
 		}
-		// Rate from the counters, not the cached view — the cache may be
-		// pending a flush.
 		if float64(forwards)/float64(rec.requests) < minRate {
 			continue
 		}
@@ -90,6 +88,5 @@ func (s *Store) merge(self network.NodeID, src *Store, minRate, weight float64, 
 		s.forwardsSum += newFwd - uint64(dst.forwards)
 		dst.requests = uint32(newReq)
 		dst.forwards = uint32(newFwd)
-		dst.dirty = true
 	}
 }

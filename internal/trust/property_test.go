@@ -10,17 +10,17 @@ import (
 )
 
 // Property-based tests: a Store is driven through long random
-// interleavings of every mutating operation (observe, bulk observe,
-// flush, resize, forget, reset, table swap, gossip merges) against a
-// naive counter model, checking after every step that
+// interleavings of every operation (observe, bulk observe, path rating,
+// resize, forget, reset, table swap, gossip merges) against a naive
+// counter model, checking after every step that
 //
-//   - the dense rate view always equals a from-scratch recomputation,
-//   - the cached Fig 1b trust level never leaks a stale value through
-//     Evaluate, regardless of when flushes happen,
+//   - every per-node path rate equals a from-scratch recomputation,
+//   - the Fig 1b trust level Evaluate reports is the current table
+//     applied to the exact counter rate,
 //   - known count, activity mean, and per-node counters stay exact.
 //
 // The model is deliberately dumb — two maps and a division — so any
-// disagreement indicts the Store's caching, not the model.
+// disagreement indicts the Store, not the model.
 
 type refModel struct {
 	req, fwd map[int]uint64
@@ -54,6 +54,20 @@ func (m *refModel) rate(id int) (float64, bool) {
 	return float64(m.fwd[id]) / float64(m.req[id]), true
 }
 
+// pathRating is the §3.1 product over ids, in order, with UnknownRate for
+// nodes the model has no data about.
+func (m *refModel) pathRating(ids []network.NodeID) float64 {
+	rating := 1.0
+	for _, id := range ids {
+		f := network.UnknownRate
+		if r, ok := m.rate(int(id)); ok {
+			f = r
+		}
+		rating *= f
+	}
+	return rating
+}
+
 func (m *refModel) meanForwards() (float64, bool) {
 	if len(m.req) == 0 {
 		return 0, false
@@ -65,11 +79,11 @@ func (m *refModel) meanForwards() (float64, bool) {
 	return float64(sum) / float64(len(m.req)), true
 }
 
-// checkAgainst verifies every invariant of s against the model. flush
-// controls whether the dense rate view is pulled (flushing pending
-// records) before per-node checks — exercising both the flushed and the
-// pending-dirty read paths.
-func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64, flush bool) {
+// checkAgainst verifies every invariant of s against the model. rated
+// controls whether every node's one-hop path rating is checked too, so
+// steps alternate between the path-rating and the decision read paths
+// first.
+func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64, rated bool) {
 	t.Helper()
 	if got, want := s.KnownCount(), len(m.req); got != want {
 		t.Fatalf("KnownCount = %d, model has %d", got, want)
@@ -79,8 +93,12 @@ func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64
 	if gotOK != wantOK || math.Abs(gotMean-wantMean) > 1e-12 {
 		t.Fatalf("MeanForwards = %v/%v, model %v/%v", gotMean, gotOK, wantMean, wantOK)
 	}
-	if flush {
-		rates := s.PathRates()
+	if rated {
+		paths := make([]network.Path, s.Size()+2)
+		for id := range paths {
+			paths[id].Intermediates = []network.NodeID{network.NodeID(id)}
+		}
+		rates := s.RatePaths(paths, nil)
 		for id := range rates {
 			want := network.UnknownRate
 			if r, ok := m.rate(id); ok {
@@ -91,7 +109,7 @@ func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64
 			}
 		}
 	}
-	// Per-node checks through the un-flushed read paths.
+	// Per-node checks through the decision read paths.
 	for id := 0; id < s.Size()+2; id++ {
 		nid := network.NodeID(id)
 		wantRate, wantKnown := m.rate(id)
@@ -106,15 +124,15 @@ func checkAgainst(t *testing.T, s *Store, m *refModel, table Table, band float64
 		if gotKnown != wantKnown || (wantKnown && gotRate != wantRate) {
 			t.Fatalf("ForwardingRate(%d) = %v/%v, model %v/%v", id, gotRate, gotKnown, wantRate, wantKnown)
 		}
-		level, act, known := s.Evaluate(nid, band)
+		level, act, known := s.Evaluate(nid, table, band)
 		if known != wantKnown {
 			t.Fatalf("Evaluate(%d) known = %v, model %v", id, known, wantKnown)
 		}
 		if !known {
 			continue
 		}
-		// The cached level must equal the table applied to the exact
-		// counter rate — a stale dirty record would fail here.
+		// The level must be the current table applied to the exact
+		// counter rate.
 		if want := table.Level(wantRate); level != want {
 			t.Fatalf("Evaluate(%d) level = %v, recompute %v (rate %v)", id, level, want, wantRate)
 		}
@@ -177,17 +195,28 @@ func TestStorePropertyRandomInterleavings(t *testing.T) {
 				for j, id := range ids {
 					m.observe(int(id), j != firstDrop)
 				}
-			case 5: // flush via the dense view
-				s.PathRates()
+			case 5: // rate candidate paths, including out-of-range IDs
+				paths := make([]network.Path, 1+r.Intn(4))
+				for i := range paths {
+					ids := make([]network.NodeID, r.Intn(6))
+					for j := range ids {
+						ids[j] = network.NodeID(r.Intn(2 * maxID))
+					}
+					paths[i].Intermediates = ids
+				}
+				for i, got := range s.RatePaths(paths, nil) {
+					if want := m.pathRating(paths[i].Intermediates); got != want {
+						t.Fatalf("RatePaths path %d %v = %v, model %v", i, paths[i].Intermediates, got, want)
+					}
+				}
 			case 6: // resize
 				s.EnsureSize(r.Intn(2 * maxID))
 			case 7: // forget (the dynamics identity-remap primitive)
 				id := r.Intn(2 * maxID)
 				s.Forget(network.NodeID(id))
 				m.forget(id)
-			case 8: // table swap recomputes cached levels
+			case 8: // table swap: the next Evaluate reads the new table
 				table = tables[r.Intn(len(tables))]
-				s.SetTable(table)
 			case 9: // feed the gossip peer
 				id := r.Intn(maxID)
 				fwd := r.Bool(0.8)
@@ -230,8 +259,8 @@ func TestStorePropertyRandomInterleavings(t *testing.T) {
 					m.reset()
 				}
 			}
-			// Alternate between flushed and pending-dirty verification so
-			// stale caches cannot hide behind a convenient flush.
+			// Alternate between steps that check path ratings and steps
+			// that go straight to the decision read path.
 			checkAgainst(t, s, m, table, band, step%3 == 0)
 		}
 	}
@@ -250,7 +279,7 @@ func TestForgetUnknownAndOutOfRangeIsNoOp(t *testing.T) {
 	if s.KnownCount() != 0 || s.Known(1) {
 		t.Error("forget left the node known")
 	}
-	if rate := s.PathRates()[1]; rate != network.UnknownRate {
+	if rate := s.RatePaths([]network.Path{{Intermediates: []network.NodeID{1}}}, nil)[0]; rate != network.UnknownRate {
 		t.Errorf("forgotten node's rate = %v, want UnknownRate", rate)
 	}
 	// Re-observation after forgetting starts from scratch.
@@ -260,19 +289,19 @@ func TestForgetUnknownAndOutOfRangeIsNoOp(t *testing.T) {
 	}
 }
 
-// TestForgetWhileDirtyDoesNotResurrect pins the interaction between
-// Forget and the lazy flush: a record forgotten while pending a flush must
-// not be resurrected by the next PathRates call.
+// TestForgetWhileDirtyDoesNotResurrect pins Forget right after fresh
+// observations: the forgotten record must read as unknown on both the
+// path-rating and the decision read paths.
 func TestForgetWhileDirtyDoesNotResurrect(t *testing.T) {
 	s := NewStoreSized(3)
 	s.Observe(2, true)
-	s.Observe(2, true) // dirty, queued for flush
+	s.Observe(2, true)
 	s.Forget(2)
-	rates := s.PathRates()
-	if rates[2] != network.UnknownRate {
-		t.Errorf("stale dirty entry resurrected rate %v", rates[2])
+	rates := s.RatePaths([]network.Path{{Intermediates: []network.NodeID{2}}}, nil)
+	if rates[0] != network.UnknownRate {
+		t.Errorf("forgotten entry resurrected rate %v", rates[0])
 	}
-	if level, _, known := s.Evaluate(2, DefaultActivityBand); known {
+	if level, _, known := s.Evaluate(2, DefaultTable(), DefaultActivityBand); known {
 		t.Errorf("forgotten node still evaluates (level %v)", level)
 	}
 }

@@ -11,12 +11,12 @@
 // map. NodeIDs are dense small integers by construction
 // (tournament.BuildRegistry panics on gaps or duplicates — see DESIGN.md),
 // so a slice sized to the registry covers every possible peer with one
-// bounds-checked index per lookup and zero steady-state allocations. Each
-// record additionally caches the derived values the hot path needs — the
-// forwarding rate pf/ps and its Fig 1b trust level — refreshed at most
-// once per counter change, lazily at the next read, so game decisions and
-// path ratings never recompute them and pure observation stays
-// integer-only.
+// bounds-checked index per lookup and zero steady-state allocations. A
+// record is just the two counters: the forwarding rate pf/ps and its Fig 1b
+// trust level are computed when a reader needs them, so observation stays
+// integer-only and nothing derived can go stale. A game writes records
+// about k times more often than it reads them on a k-intermediate path, so
+// a cached rate would be recomputed before most reads anyway.
 package trust
 
 import (
@@ -26,17 +26,12 @@ import (
 	"adhocga/internal/strategy"
 )
 
-// record holds the two per-pair reputation counters of §3.1 plus the
-// cached trust level derived from them. A node is known iff requests > 0
-// (every code path that touches a record increments requests by ≥ 1).
+// record holds the two per-pair reputation counters of §3.1. A node is
+// known iff requests > 0 (every code path that touches a record increments
+// requests by ≥ 1).
 //
-// dirty marks a record whose counters changed since level and the rates
-// entry were last derived; readers flush it before use. Keeping the write
-// path to plain integer increments matters because observations outnumber
-// decisions ~k:1 on a k-intermediate path.
-//
-// The counters are uint32, which packs a record into 12 bytes instead of
-// 24 — a game touches O(path²) records spread over every participant's
+// The counters are uint32, which packs a record into 8 bytes instead of
+// 16 — a game touches O(path²) records spread over every participant's
 // store (Fig 1a: each observer updates each intermediate), so halving the
 // record keeps roughly twice as many stores resident in L2. Counters are
 // per-pair within one generation (reset at every generation boundary),
@@ -46,8 +41,6 @@ import (
 type record struct {
 	requests uint32 // ps: packets this node was asked ("sent") to forward
 	forwards uint32 // pf: packets it actually forwarded
-	level    strategy.TrustLevel
-	dirty    bool
 }
 
 // Store is one node's private reputation memory about other nodes, indexed
@@ -62,28 +55,19 @@ type record struct {
 type Store struct {
 	rec []record
 
-	// rates is the dense path-rate view: rates[id] is pf/ps for known
-	// nodes and network.UnknownRate for unknown ones, exactly the factor
-	// the §3.1 path rating multiplies per intermediate. It is maintained
-	// in lockstep with rec.
-	rates []float64
-
 	// known counts records with requests > 0.
 	known int
 
 	// forwardsSum caches Σ pf over all known nodes so that the §3.2
 	// activity average is O(1) per query instead of O(known nodes).
 	forwardsSum uint64
-
-	// table maps cached forwarding rates to the cached trust levels.
-	table Table
 }
 
-// NewStore returns an empty reputation memory using the paper's default
-// trust table. The store grows as nodes are observed; use NewStoreSized or
-// EnsureSize when the ID range is known up front.
+// NewStore returns an empty reputation memory. The store grows as nodes
+// are observed; use NewStoreSized or EnsureSize when the ID range is known
+// up front.
 func NewStore() *Store {
-	return &Store{table: DefaultTable()}
+	return &Store{}
 }
 
 // NewStoreSized returns an empty reputation memory pre-sized for NodeIDs
@@ -103,22 +87,16 @@ func (s *Store) EnsureSize(n int) {
 	old := len(s.rec)
 	if n <= cap(s.rec) {
 		s.rec = s.rec[:n]
-		s.rates = s.rates[:n]
 		clear(s.rec[old:])
-	} else {
-		c := 2 * cap(s.rec)
-		if c < n {
-			c = n
-		}
-		rec := make([]record, n, c)
-		copy(rec, s.rec)
-		rates := make([]float64, n, c)
-		copy(rates, s.rates)
-		s.rec, s.rates = rec, rates
+		return
 	}
-	for i := old; i < n; i++ {
-		s.rates[i] = network.UnknownRate
+	c := 2 * cap(s.rec)
+	if c < n {
+		c = n
 	}
+	rec := make([]record, n, c)
+	copy(rec, s.rec)
+	s.rec = rec
 }
 
 // Size returns the number of NodeIDs the store currently covers (known or
@@ -130,45 +108,16 @@ func (s *Store) Size() int { return len(s.rec) }
 // (§4.4 step 1).
 func (s *Store) Reset() {
 	clear(s.rec)
-	for i := range s.rates {
-		s.rates[i] = network.UnknownRate
-	}
 	s.known = 0
 	s.forwardsSum = 0
 }
 
-// SetTable installs the Fig 1b trust table used for the cached trust
-// levels, recomputing existing cache entries if the table actually
-// changes. NewStore installs DefaultTable; game decisions re-sync the
-// table from their Config automatically, so explicit calls are only an
-// optimization for custom-table setups.
-func (s *Store) SetTable(t Table) {
-	if t == s.table {
-		return
-	}
-	s.table = t
-	for i := range s.rec {
-		if r := &s.rec[i]; r.requests > 0 {
-			s.flushRecord(r, i)
-		}
-	}
-}
-
-// TrustTable returns the table the cached trust levels are derived from.
-func (s *Store) TrustTable() Table { return s.table }
-
 // Observe records one watchdog observation about a node: it was asked to
 // forward a packet and either did (forwarded=true) or dropped it. The
-// write path is integer-only — the derived rate and trust level are
-// flushed lazily at the next read (Evaluate or PathRates), so a record
-// observed many times between reads pays for one division, not many.
+// write path is integer-only: nothing derived from the counters is stored.
 //
-// The body is split so the in-range case (the only one a pre-sized
-// tournament store ever sees) inlines into the game loop as a few
-// increments and an unconditional dirty-bit store — marking a record
-// dirty needs no bookkeeping beyond the bit itself, so re-marking an
-// already-dirty record is free and the fast path carries no dirty check.
-// Only growth takes the slow path.
+// The in-range case (the only one a pre-sized tournament store ever sees)
+// is a few increments; only growth takes the slow path.
 func (s *Store) Observe(id network.NodeID, forwarded bool) {
 	if int(id) < len(s.rec) {
 		r := &s.rec[id]
@@ -176,7 +125,6 @@ func (s *Store) Observe(id network.NodeID, forwarded bool) {
 			s.known++
 		}
 		r.requests++
-		r.dirty = true
 		if forwarded {
 			r.forwards++
 			s.forwardsSum++
@@ -204,7 +152,6 @@ func (s *Store) ObservePath(ids []network.NodeID, self network.NodeID, firstDrop
 				s.known++
 			}
 			r.requests++
-			r.dirty = true
 			if forwarded {
 				r.forwards++
 				s.forwardsSum++
@@ -224,37 +171,14 @@ func (s *Store) observeSlow(id network.NodeID, forwarded bool) {
 		s.known++
 	}
 	r.requests++
-	r.dirty = true
 	if forwarded {
 		r.forwards++
 		s.forwardsSum++
 	}
 }
 
-// settle flushes every dirty record — the compaction point of the
-// lazy-flush scheme. Flushing is a pure function of the counters, so
-// settling at any time changes no observable value. Only cold paths
-// (PathRates, notably) settle; the game loop flushes exactly the records
-// it reads, one at a time, and never scans.
-func (s *Store) settle() {
-	for i := range s.rec {
-		if r := &s.rec[i]; r.dirty {
-			s.flushRecord(r, i)
-		}
-	}
-}
-
-// flushRecord derives the cached rate and Fig 1b trust level from the
-// record's counters. Callers guarantee requests > 0.
-func (s *Store) flushRecord(r *record, id int) {
-	rate := float64(r.forwards) / float64(r.requests)
-	s.rates[id] = rate
-	r.level = s.table.Level(rate)
-	r.dirty = false
-}
-
 // Forget erases everything the store knows about one node, in place: the
-// counters are zeroed, the cached rate returns to network.UnknownRate, and
+// counters are zeroed, so the node rates network.UnknownRate again, and
 // the known count and activity mean drop the node's contribution. It is
 // the identity-remap primitive of the dynamics layer (internal/dynamics):
 // when churn recycles a NodeID for a fresh node, every store that might
@@ -272,7 +196,6 @@ func (s *Store) Forget(id network.NodeID) {
 	s.known--
 	s.forwardsSum -= uint64(r.forwards)
 	*r = record{}
-	s.rates[id] = network.UnknownRate
 }
 
 // Known reports whether the store has any data about the node.
@@ -329,46 +252,12 @@ func (s *Store) KnownNodes() []network.NodeID {
 	return ids
 }
 
-// PathRates returns the dense §3.1 rate view the path rater consumes:
-// rates[id] is pf/ps for known nodes and network.UnknownRate for unknown
-// ones; IDs at or beyond len(rates) are unknown too. Pending counter
-// changes are flushed into the view first. The slice is owned by the
-// store and must not be modified; re-fetch it after further observations
-// rather than retaining it.
-func (s *Store) PathRates() []float64 {
-	s.settle()
-	return s.rates
-}
-
-// RatesForPaths is the route-selection form of PathRates: it returns the
-// dense rate view after refreshing only the entries the given candidate
-// paths' intermediates will actually read, instead of flushing every
-// pending record. The refreshed values are computed by the same expression
-// flushRecord uses, so ratings are bit-identical to rating after a full
-// PathRates flush. The slice is owned by the store and must not be
-// modified or retained.
-func (s *Store) RatesForPaths(paths []network.Path) []float64 {
-	for _, p := range paths {
-		for _, id := range p.Intermediates {
-			if int(id) >= len(s.rec) {
-				continue // unknown to this store; rates in-range read as UnknownRate
-			}
-			if r := &s.rec[id]; r.dirty {
-				s.flushRecord(r, int(id))
-			}
-		}
-	}
-	return s.rates
-}
-
-// RatePaths rates every candidate path in one walk: for each path it
-// computes the §3.1 rating — the product over its intermediates of the
-// dense rate view, flushing pending counter changes for exactly the
-// records the product reads — and stores it into ratings, which is grown
-// as needed and returned. The flushes and the multiplication order are
-// identical to calling RatesForPaths followed by network.RatePath per
-// path, so the ratings are bit-identical to that two-walk form; fusing
-// them touches each intermediate's record and rate once instead of twice.
+// RatePaths rates every candidate path: for each path it computes the
+// §3.1 rating — the product over its intermediates of pf/ps, with
+// network.UnknownRate for unknown nodes and IDs beyond the store — and
+// stores it into ratings, which is grown as needed and returned. The
+// factors and their order are exactly those network.RatePath multiplies
+// over a dense rate view, so the ratings are bit-identical to it.
 func (s *Store) RatePaths(paths []network.Path, ratings []float64) []float64 {
 	if cap(ratings) < len(paths) {
 		ratings = make([]float64, len(paths))
@@ -379,10 +268,9 @@ func (s *Store) RatePaths(paths []network.Path, ratings []float64) []float64 {
 		for _, id := range p.Intermediates {
 			f := network.UnknownRate
 			if int(id) < len(s.rec) {
-				if r := &s.rec[id]; r.dirty {
-					s.flushRecord(r, int(id))
+				if r := &s.rec[id]; r.requests > 0 {
+					f = float64(r.forwards) / float64(r.requests)
 				}
-				f = s.rates[id]
 			}
 			rating *= f
 		}
@@ -391,21 +279,18 @@ func (s *Store) RatePaths(paths []network.Path, ratings []float64) []float64 {
 	return ratings
 }
 
-// Evaluate returns the cached trust level and the §3.2 activity level of
-// the source in one O(1) lookup, and whether the source is known (when it
-// is not, the strategy's unknown-node bit applies and both levels are
-// meaningless). This is the forwarding-decision hot path: a single
-// bounds-checked index, no map probes, no rate division.
-func (s *Store) Evaluate(id network.NodeID, band float64) (strategy.TrustLevel, strategy.ActivityLevel, bool) {
+// Evaluate returns the source's Fig 1b trust level under table t and its
+// §3.2 activity level in one O(1) lookup, and whether the source is known
+// (when it is not, the strategy's unknown-node bit applies and both levels
+// are meaningless). This is the forwarding-decision hot path: a single
+// bounds-checked index and no map probes.
+func (s *Store) Evaluate(id network.NodeID, t Table, band float64) (strategy.TrustLevel, strategy.ActivityLevel, bool) {
 	if int(id) >= len(s.rec) {
 		return 0, 0, false
 	}
 	r := &s.rec[id]
 	if r.requests == 0 {
 		return 0, 0, false
-	}
-	if r.dirty {
-		s.flushRecord(r, int(id))
 	}
 	// known(id) implies known > 0, so av is well defined. The bounds are
 	// recomputed per call: forwardsSum moves with nearly every observation
@@ -420,7 +305,7 @@ func (s *Store) Evaluate(id network.NodeID, band float64) (strategy.TrustLevel, 
 	case srcF > av+band*av:
 		act = strategy.ActivityHigh
 	}
-	return r.level, act, true
+	return t.Level(float64(r.forwards) / float64(r.requests)), act, true
 }
 
 // Table is the trust lookup table of Fig 1b, mapping a forwarding rate to
@@ -467,8 +352,8 @@ func (t Table) Level(rate float64) strategy.TrustLevel {
 
 // LevelOf looks a node up in the store and maps it through the table. The
 // boolean is false when the node is unknown, in which case the strategy's
-// unknown-node bit applies instead. Unlike Store.Evaluate it applies t
-// itself rather than the store's cached level, so it works with any table.
+// unknown-node bit applies instead. It is the reference Store.Evaluate's
+// trust level agrees with for the same table.
 func (t Table) LevelOf(s *Store, id network.NodeID) (strategy.TrustLevel, bool) {
 	rate, known := s.ForwardingRate(id)
 	if !known {
@@ -490,6 +375,6 @@ const DefaultActivityBand = 0.2
 // Note the asymmetry inherited from the paper: av averages over the nodes
 // the evaluator knows, whether or not that includes the source.
 func ActivityOf(s *Store, src network.NodeID, band float64) (strategy.ActivityLevel, bool) {
-	_, act, known := s.Evaluate(src, band)
+	_, act, known := s.Evaluate(src, DefaultTable(), band)
 	return act, known
 }

@@ -216,71 +216,71 @@ func TestPathRatesFeedPathRating(t *testing.T) {
 	s.Observe(1, true) // rate 1.0
 	s.Observe(2, false)
 	s.Observe(2, true) // rate 0.5
-	p := network.Path{Src: 0, Dst: 9, Intermediates: []network.NodeID{1, 2, 3}}
-	// 1.0 * 0.5 * 0.5(unknown default) = 0.25; node 3 is beyond the dense
-	// view and node 0 is inside it but unobserved — both rate UnknownRate.
-	if got := network.RatePath(p, s.PathRates()); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("path rating via PathRates = %v, want 0.25", got)
+	paths := []network.Path{
+		{Src: 0, Dst: 9, Intermediates: []network.NodeID{1, 2, 3}},
+		{Src: 0, Dst: 9, Intermediates: []network.NodeID{0}},
 	}
-	if r := s.PathRates()[0]; r != network.UnknownRate {
-		t.Errorf("unobserved in-range node rates %v, want UnknownRate", r)
+	// 1.0 * 0.5 * 0.5(unknown default) = 0.25; node 3 is beyond the store
+	// and node 0 is inside it but unobserved — both rate UnknownRate.
+	got := s.RatePaths(paths, nil)
+	if math.Abs(got[0]-0.25) > 1e-12 {
+		t.Errorf("path rating via RatePaths = %v, want 0.25", got[0])
+	}
+	if got[1] != network.UnknownRate {
+		t.Errorf("unobserved in-range node rates %v, want UnknownRate", got[1])
 	}
 }
 
-// TestRatePathsMatchesTwoWalkForm pins the documented equivalence: the
-// fused RatePaths walk and the RatesForPaths + network.RatePath two-walk
-// form produce bit-identical ratings, including for intermediates that
-// are unknown, out of the dense range, or still dirty.
-func TestRatePathsMatchesTwoWalkForm(t *testing.T) {
-	build := func() *Store {
-		s := NewStore()
-		s.Observe(1, true) // rate 1.0
-		s.Observe(2, false)
-		s.Observe(2, true) // rate 0.5
-		s.Observe(4, true)
-		s.Observe(4, false)
-		s.Observe(4, false) // rate 1/3
-		return s
+// rateView builds the dense rate view network.RatePath consumes from the
+// store's public counters: pf/ps for known nodes, UnknownRate otherwise.
+func rateView(s *Store) []float64 {
+	rates := make([]float64, s.Size())
+	for id := range rates {
+		rates[id] = network.UnknownRate
+		if r, known := s.ForwardingRate(network.NodeID(id)); known {
+			rates[id] = r
+		}
 	}
+	return rates
+}
+
+// TestRatePathsMatchesTwoWalkForm pins the documented equivalence: the
+// RatePaths walk over the store's counters and network.RatePath over a
+// rate view built from ForwardingRate produce bit-identical ratings,
+// including for intermediates that are unknown or out of the store's
+// range.
+func TestRatePathsMatchesTwoWalkForm(t *testing.T) {
+	s := NewStore()
+	s.Observe(1, true) // rate 1.0
+	s.Observe(2, false)
+	s.Observe(2, true) // rate 0.5
+	s.Observe(4, true)
+	s.Observe(4, false)
+	s.Observe(4, false) // rate 1/3
 	paths := []network.Path{
 		{Src: 0, Dst: 9, Intermediates: []network.NodeID{1, 2}},
-		{Src: 0, Dst: 9, Intermediates: []network.NodeID{2, 4, 7}}, // 7: beyond the dense view
+		{Src: 0, Dst: 9, Intermediates: []network.NodeID{2, 4, 7}}, // 7: beyond the store
+		{Src: 0, Dst: 9, Intermediates: []network.NodeID{4, 4, 2}}, // repeated factor
 		{Src: 0, Dst: 9, Intermediates: []network.NodeID{0}},       // in range, never observed
 		{Src: 0, Dst: 9, Intermediates: nil},                       // empty product = 1
 	}
 
-	// Two-walk form on one store (flushes exactly the records the paths
-	// read)…
-	twoWalk := build()
-	rates := twoWalk.RatesForPaths(paths)
-	want := make([]float64, len(paths))
+	rates := rateView(s)
+	got := s.RatePaths(paths, nil)
 	for i, p := range paths {
-		want[i] = network.RatePath(p, rates)
-	}
-	// …fused walk on an identically-built fresh store, so both start from
-	// the same dirty state.
-	fused := build()
-	got := fused.RatePaths(paths, nil)
-	for i := range paths {
-		if got[i] != want[i] {
-			t.Errorf("path %d: fused %v, two-walk %v", i, got[i], want[i])
+		if want := network.RatePath(p, rates); got[i] != want {
+			t.Errorf("path %d: RatePaths %v, RatePath %v", i, got[i], want)
 		}
 	}
-	if got[0] != 0.5 || got[3] != 1.0 {
+	if got[0] != 0.5 || got[4] != 1.0 {
 		t.Errorf("ratings %v: want path0 1.0*0.5, empty path 1.0", got)
 	}
 
 	// A caller-owned ratings slice with capacity is reused, not
 	// reallocated.
 	buf := make([]float64, 0, len(paths))
-	if out := fused.RatePaths(paths, buf); &out[0] != &buf[:1][0] {
+	if out := s.RatePaths(paths, buf); &out[0] != &buf[:1][0] {
 		t.Error("RatePaths reallocated despite sufficient capacity")
-	}
-}
-
-func TestTrustTableRoundTrip(t *testing.T) {
-	if got := NewStore().TrustTable(); got != DefaultTable() {
-		t.Errorf("TrustTable() = %+v, want the default table", got)
 	}
 }
 
