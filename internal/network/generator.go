@@ -19,20 +19,18 @@ import (
 // The intermediate pool of each game — participants minus src and dst,
 // order-preserving — is never materialized: reads go straight to the
 // participants slice through a branchless skip mapping over the two
-// excluded positions. A partial Fisher–Yates of k steps displaces at most
-// k pool entries, so the shuffle state lives in a k-entry (index, value)
-// overlay that a path resets by zeroing its length; participants is never
-// touched. This replaces both the epoch-stamped overlay closure (per-read
-// indirect call) and the per-game pool copy (three-chunk memmove) that
-// earlier versions paid for: path lengths cap at MaxHops, so the overlay
-// scans a handful of L1-resident entries where those paid a call or a
-// memmove.
+// excluded positions. The partial Fisher–Yates writes its displaced values
+// into one stamped slot per virtual pool index, epoch<<32 | value; a slot
+// counts only while its stamp equals the current epoch, and the epoch moves
+// once per path, so a path resets the whole pool with one increment and
+// every read is one compare. participants is never touched, and a value
+// fits its slot's low 32 bits because NodeIDs are dense small integers.
 type Generator struct {
 	mode PathMode
 
-	// scratch: the shuffle-displacement overlay and the returned paths
-	oIdx  []int32
-	oVal  []NodeID
+	// scratch: the stamped shuffle slots and the returned paths
+	slots []uint64
+	epoch uint32
 	paths []Path
 
 	// lastSrcPos remembers where the previous call's source sat in the
@@ -112,12 +110,12 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 	// The virtual intermediate pool is everyone except src and dst in
 	// participants order: virtual index v holds participants[skip2(v)],
 	// where skip2 jumps over the excluded positions p1 < p2. The partial
-	// Fisher–Yates below acts on virtual indices with its displacements
-	// kept in the (oIdx, oVal) overlay, so its draws and sampled
-	// intermediates are identical to shuffling a materialized copy of the
-	// pool — without building or mutating anything of pool size. With src
-	// absent (callers shouldn't, but the old behavior is preserved) only
-	// dst is excluded and p2 = n sits beyond every mapped index.
+	// Fisher–Yates acts on virtual indices with its displacements kept in
+	// the stamped slots, so its draws and sampled intermediates are
+	// identical to shuffling a materialized copy of the pool — without
+	// building or mutating anything of pool size. With src absent
+	// (callers shouldn't, but the old behavior is preserved) only dst is
+	// excluded and p2 = n sits beyond every mapped index.
 	p1, p2 := srcPos, dstPos
 	if p1 > p2 {
 		p1, p2 = p2, p1
@@ -127,65 +125,64 @@ func (g *Generator) Candidates(r *rng.Source, src NodeID, participants []NodeID)
 		p1, p2 = dstPos, n
 		poolLen = n - 1
 	}
+	if len(g.slots) < poolLen {
+		// Fresh slots carry epoch 0, which no path uses.
+		g.slots = make([]uint64, poolLen+8)
+	}
 
 	k := hops - 1
-	if cap(g.oIdx) < k {
-		g.oIdx = make([]int32, k+8)
-		g.oVal = make([]NodeID, k+8)
-	}
-	oIdx, oVal := g.oIdx, g.oVal
 	if cap(g.paths) < count {
 		g.paths = make([]Path, count)
 	}
 	paths := g.paths[:count]
-	for i := 0; i < count; i++ {
-		inter := paths[i].Intermediates
+	for i := range paths {
+		p := &paths[i]
+		inter := p.Intermediates
 		if cap(inter) < k {
 			inter = make([]NodeID, k)
 		}
 		inter = inter[:k]
-		// Partial Fisher–Yates on the virtual pool. Step x of the classic
-		// in-place form swaps pool[x] and pool[j] and selects the new
-		// pool[x]; position x is never read after step x, so only the
-		// value parked at j needs recording. The overlay holds those
-		// parked values, newest last; reads scan it backwards (a repeated
-		// j must see the latest parking) and fall through to the pristine
-		// pool. At most k ≤ MaxHops−1 entries, so the scan stays in L1.
-		m := 0
-		for x := 0; x < k; x++ {
-			j := x + r.Intn(poolLen-x)
-			vj := NodeID(0)
-			for t := m - 1; ; t-- {
-				if t < 0 {
-					vj = participants[skip2(j, p1, p2)]
-					break
-				}
-				if oIdx[t] == int32(j) {
-					vj = oVal[t]
-					break
-				}
-			}
-			if j != x {
-				vx := NodeID(0)
-				for t := m - 1; ; t-- {
-					if t < 0 {
-						vx = participants[skip2(x, p1, p2)]
-						break
-					}
-					if oIdx[t] == int32(x) {
-						vx = oVal[t]
-						break
-					}
-				}
-				oIdx[m], oVal[m] = int32(j), vx
-				m++
-			}
-			inter[x] = vj
+		g.epoch++
+		if g.epoch == 0 {
+			clear(g.slots)
+			g.epoch = 1
 		}
-		paths[i] = Path{Src: src, Dst: dst, Intermediates: inter}
+		fillPath(r, inter, participants, g.slots, uint64(g.epoch)<<32, poolLen, p1, p2)
+		p.Src = src
+		p.Dst = dst
+		p.Intermediates = inter
 	}
 	g.paths = paths
 	return paths
+}
+
+// fillPath runs one path's partial Fisher–Yates over the virtual pool of
+// poolLen entries. Step x of the classic in-place form swaps pool[x] and
+// pool[j] and selects the new pool[x]; position x is never read after
+// step x, so only the value parked at j needs recording. A slot stamped
+// with this path's stamp holds the value parked there; any other slot
+// falls through to the pristine pool.
+func fillPath(r *rng.Source, inter, participants []NodeID, slots []uint64, stamp uint64, poolLen, p1, p2 int) {
+	slots = slots[:poolLen]
+	for x := range inter {
+		j := x + r.Intn(poolLen-x)
+		var vj NodeID
+		if s := slots[j]; s&^0xffffffff == stamp {
+			vj = NodeID(int32(s))
+		} else {
+			vj = participants[skip2(j, p1, p2)]
+		}
+		if j != x {
+			var vx NodeID
+			if s := slots[x]; s&^0xffffffff == stamp {
+				vx = NodeID(int32(s))
+			} else {
+				vx = participants[skip2(x, p1, p2)]
+			}
+			slots[j] = stamp | uint64(uint32(vx))
+		}
+		inter[x] = vj
+	}
 }
 
 // skip2 maps a virtual intermediate-pool index to its participants index

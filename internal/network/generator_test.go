@@ -187,9 +187,15 @@ func TestRatePathMonotoneProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCandidates(b *testing.B) {
+func BenchmarkCandidates(b *testing.B) { benchmarkCandidates(b, ShorterPaths()) }
+
+// BenchmarkCandidatesLP is BenchmarkCandidates under the LP path mode,
+// whose longer routes run more Fisher–Yates steps per path.
+func BenchmarkCandidatesLP(b *testing.B) { benchmarkCandidates(b, LongerPaths()) }
+
+func benchmarkCandidates(b *testing.B, mode PathMode) {
 	r := rng.New(1)
-	g := NewGenerator(ShorterPaths())
+	g := NewGenerator(mode)
 	parts := participantSet(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

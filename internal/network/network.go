@@ -194,44 +194,37 @@ const MaxAlternatePaths = 3
 // cover 2–3, 4–6 and 7–8 hops; the 7–8 row is extended to 9–10 (used only
 // by the longer-paths mode, which the paper's Table 3 omits).
 type AlternatesDist struct {
-	short *rng.Categorical // 2-3 hops
-	mid   *rng.Categorical // 4-6 hops
-	long  *rng.Categorical // 7-10 hops
+	// byHops[h] is the row for hop count h, built once so a draw is one
+	// index, not a range switch. Hop counts below 0 or above MaxHops clamp
+	// to the first or last entry.
+	byHops [MaxHops + 1]*rng.Categorical
 }
 
 // Table3Alternates returns the paper's alternate-path distribution.
 func Table3Alternates() AlternatesDist {
-	return AlternatesDist{
-		short: rng.MustCategorical([]float64{0.5, 0.3, 0.2}),
-		mid:   rng.MustCategorical([]float64{0.6, 0.25, 0.15}),
-		long:  rng.MustCategorical([]float64{0.8, 0.15, 0.05}),
-	}
+	short := rng.MustCategorical([]float64{0.5, 0.3, 0.2})
+	mid := rng.MustCategorical([]float64{0.6, 0.25, 0.15})
+	long := rng.MustCategorical([]float64{0.8, 0.15, 0.05})
+	return AlternatesDist{byHops: [MaxHops + 1]*rng.Categorical{
+		short, short, short, short, // 0–3 hops
+		mid, mid, mid, // 4–6 hops
+		long, long, long, long, // 7–10 hops
+	}}
 }
 
 // Sample draws the number of available paths (1..3) for the given hop
 // count.
-func (d AlternatesDist) Sample(r *rng.Source, hops int) int {
-	return d.row(hops).Sample(r) + 1
+func (d *AlternatesDist) Sample(r *rng.Source, hops int) int {
+	return d.byHops[min(max(hops, 0), MaxHops)].Sample(r) + 1
 }
 
 // Prob returns the probability of exactly n alternate paths at the given
 // hop count.
-func (d AlternatesDist) Prob(hops, n int) float64 {
+func (d *AlternatesDist) Prob(hops, n int) float64 {
 	if n < 1 || n > MaxAlternatePaths {
 		return 0
 	}
-	return d.row(hops).Prob(n - 1)
-}
-
-func (d AlternatesDist) row(hops int) *rng.Categorical {
-	switch {
-	case hops <= 3:
-		return d.short
-	case hops <= 6:
-		return d.mid
-	default:
-		return d.long
-	}
+	return d.byHops[min(max(hops, 0), MaxHops)].Prob(n - 1)
 }
 
 // PathMode bundles a named hop-count distribution with an alternate-path

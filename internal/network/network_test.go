@@ -93,22 +93,34 @@ func TestNewLengthDistValidation(t *testing.T) {
 	}
 }
 
-// Table 3 check: the alternate-path preset matches the paper's rows.
+// Table 3 check: the alternate-path preset matches the paper's rows at
+// every hop count, so a row mapped one hop off at the 3/4 or 6/7
+// boundary fails here, not only as a golden diff. h = 1 (the clamp for
+// two participants produces it) and counts outside 0..MaxHops take the
+// nearest end row. Sample reads the same row as Prob: at each hop count
+// its draws equal the row's own categorical fed the same stream.
 func TestAlternatePathDistributionMatchesTable3(t *testing.T) {
 	d := Table3Alternates()
 	rows := []struct {
 		hops []int
 		p    [3]float64
 	}{
-		{[]int{2, 3}, [3]float64{0.5, 0.3, 0.2}},
+		{[]int{-1, 0, 1, 2, 3}, [3]float64{0.5, 0.3, 0.2}},
 		{[]int{4, 5, 6}, [3]float64{0.6, 0.25, 0.15}},
-		{[]int{7, 8, 9, 10}, [3]float64{0.8, 0.15, 0.05}}, // 9-10 extend the 7-8 row
+		{[]int{7, 8, 9, 10, 11, 100}, [3]float64{0.8, 0.15, 0.05}}, // 9-10 extend the 7-8 row
 	}
 	for _, row := range rows {
+		cat := rng.MustCategorical(row.p[:])
 		for _, h := range row.hops {
 			for n := 1; n <= 3; n++ {
 				if got := d.Prob(h, n); math.Abs(got-row.p[n-1]) > 1e-12 {
 					t.Errorf("Prob(hops=%d, n=%d) = %v, want %v", h, n, got, row.p[n-1])
+				}
+			}
+			r, ref := rng.New(uint64(h+10)), rng.New(uint64(h+10))
+			for i := 0; i < 2000; i++ {
+				if got, want := d.Sample(r, h), cat.Sample(ref)+1; got != want {
+					t.Fatalf("Sample(hops=%d) draw %d = %d, want %d", h, i, got, want)
 				}
 			}
 		}
